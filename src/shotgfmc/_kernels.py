@@ -1,109 +1,89 @@
-"""Hot inner loops with a switchable backend.
+"""The population chain kernel and the sliding log-weight sums.
 
-``SHOTGFMC_BACKEND=numba`` (the default when numba imports) compiles the
-kernels with ``@njit``; ``SHOTGFMC_BACKEND=numpy`` runs the same source
-uncompiled. The kernels use only +,-,*,/ and comparisons -- no
-transcendentals -- so the two backends produce bit-identical
-trajectories. ``python -m shotgfmc.bench`` times one against the other.
+``chain_fill`` advances a population of W walkers in lockstep on numpy
+arrays with one column per walker. Each walker has its own amplitude table and its
+own generator, and every step repeats the arithmetic of the single-walker
+loop in the same order (row entries accumulated left to right, the same
+inverse-CDF selection), so a walker's trajectory is bit-identical to the
+scalar loop's and does not depend on the population it runs in. The
+scalar loops are kept as references in ``tests/oracles.py``.
 """
 
-import os
+import numpy as np
 
-_requested = os.environ.get("SHOTGFMC_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"SHOTGFMC_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _have_numba = False
-else:
-    try:
-        from numba import njit  # noqa: F401
-        _have_numba = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _have_numba = False
-
-BACKEND = "numba" if _have_numba else "numpy"
+# steps of uniforms drawn from each walker's generator per call
+_UNIFORM_BLOCK = 1024
 
 
-def _hot(fn):
-    if BACKEND == "numba":
-        return njit(cache=True)(fn)
-    return fn
+def chain_fill(amps, stay, Gamma, warmup, x, rngs, states, bvals):
+    """Walk every walker warmup + len(states) steps, recording after warmup.
 
-
-@_hot
-def chain_fill(amps, L, J, Gamma, lam, warmup, x0, urand, states, bvals, wbuf):
-    """Walk the chain for len(urand) steps, recording after warmup.
-
-    For the current state x the row of the importance-sampled propagator is
-      stay weight   lam - E_diag(x)
-      flip weight k Gamma * amps[x ^ 1<<k] / amps[x]
-    b is the row sum and the next state is drawn by inverse CDF, first
-    index wins on ties. states/bvals hold x and b for steps >= warmup.
+    amps is (W, 2^L), one amplitude table per walker; stay[x] = lam - E_diag(x).
+    For the current state x of walker w the row of the importance-sampled
+    propagator is
+      stay weight   stay[x]
+      flip weight k Gamma * amps[w, x ^ 1<<k] / amps[w, x]
+    b is the row sum and the next state is drawn by inverse CDF with the
+    walker's next uniform, first index wins on ties. x (W,) holds the
+    initial states and is advanced in place; row n - warmup of states and
+    bvals (n_rec, W) holds every walker's x and b at step n >= warmup.
+    Walker w draws its uniforms from rngs[w] in blocks, which consumes the
+    stream exactly like one long draw.
     """
-    n_steps = urand.shape[0]
-    x = x0
-    for n in range(n_steps):
-        ax = amps[x]
-        acc = 0
-        for k in range(L):
-            kk = k + 1
-            if kk == L:
-                kk = 0
-            if ((x >> k) & 1) == ((x >> kk) & 1):
-                acc += 1
-            else:
-                acc -= 1
-        w_stay = lam + J * acc
-        b = w_stay
-        for k in range(L):
-            wk = Gamma * (amps[x ^ (1 << k)] / ax)
-            wbuf[k] = wk
-            b += wk
-        if n >= warmup:
-            states[n - warmup] = x
-            bvals[n - warmup] = b
-        t = urand[n] * b
-        if t >= w_stay:
-            c = w_stay
-            sel = -1
-            last_pos = -1
-            for k in range(L):
-                if wbuf[k] > 0.0:
-                    last_pos = k
-                c += wbuf[k]
-                if t < c:
-                    sel = k
-                    break
-            if sel < 0:
-                # cumulative roundoff left t at/past the top; take the
-                # last nonempty interval (stay if there is none)
-                sel = last_pos
-            if sel >= 0:
-                x = x ^ (1 << sel)
-    return x
+    W, n_states = amps.shape
+    L = n_states.bit_length() - 1
+    n_steps = warmup + len(states)
+    flat = np.ascontiguousarray(amps).reshape(-1)
+    row_base = np.arange(W, dtype=np.int64) << L
+    # move[j] is the XOR mask of CDF row j: row 0 stays, row k+1 flips site k
+    move = np.concatenate(([0], np.int64(1) << np.arange(L, dtype=np.int64)))
+    # propagator rows are stored transposed, one column per walker, so the
+    # left-to-right accumulation runs over contiguous rows of W entries
+    weights = np.empty((L + 1, W))
+    cdf = np.empty((L + 1, W))
+    for start in range(0, n_steps, _UNIFORM_BLOCK):
+        stop = min(start + _UNIFORM_BLOCK, n_steps)
+        urand = np.stack([rng.random(stop - start) for rng in rngs], axis=1)
+        for n in range(start, stop):
+            # row 0 is amps[w, x], row k+1 the flip-k neighbour
+            near = flat.take(move[:, None] ^ (row_base + x))
+            np.divide(near[1:], near[0], out=weights[1:])
+            weights[1:] *= Gamma
+            np.take(stay, x, out=weights[0])
+            np.add.accumulate(weights, 0, None, cdf)
+            b = cdf[L]
+            if n >= warmup:
+                states[n - warmup] = x
+                bvals[n - warmup] = b
+            below = urand[n - start] * b < cdf
+            sel = below.argmax(axis=0)
+            # weights are nonnegative, so the CDF peaks at b in the last row
+            if not below[L].all():
+                # cumulative roundoff left t at/past the top; take the last
+                # nonempty flip interval (stay if there is none)
+                missed = ~below[L]
+                positive = weights[1:, missed] > 0.0
+                last = L - positive[::-1].argmax(axis=0)
+                sel[missed] = np.where(positive.any(axis=0), last, 0)
+            x ^= move[sel]
 
 
-@_hot
 def sliding_window_sums(values, width, recompute_every, out):
     """out[j] = sum(values[j : j+width]) for j = 0 .. len(out)-1.
 
     The running sum is refreshed from scratch every recompute_every steps
-    to stop add/subtract drift from accumulating over long records.
+    to stop add/subtract drift from accumulating over long records. Within
+    a block the sums are one cumulative sum over the interleaved
+    [s0, +new_1, -old_1, +new_2, ...], read at every other entry; adding
+    -c is exactly subtracting c, so each entry equals the running update
+    s + new - old.
     """
-    s = 0.0
-    for i in range(width):
-        s += values[i]
-    out[0] = s
-    for j in range(1, out.shape[0]):
-        if j % recompute_every == 0:
-            s = 0.0
-            for i in range(j, j + width):
-                s += values[i]
-        else:
-            s = s + values[j + width - 1] - values[j - 1]
-        out[j] = s
+    n_out = out.shape[0]
+    for j0 in range(0, n_out, recompute_every):
+        j1 = min(j0 + recompute_every, n_out)
+        terms = np.empty(2 * (j1 - j0) - 1)
+        # s0 summed in order from 0.0, as the running sum starts
+        terms[0] = np.cumsum(np.concatenate(([0.0], values[j0:j0 + width])))[-1]
+        terms[1::2] = values[j0 + width:j1 + width - 1]
+        terms[2::2] = -values[j0:j1 - 1]
+        out[j0:j1] = np.cumsum(terms)[::2]

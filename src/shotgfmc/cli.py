@@ -22,12 +22,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .config import ConfigError, DEFAULT_BASE_SEED, RunConfig, parse_config
 from .exact import ground_state
 from .gfmc import (
     GfmcConfig,
     average_local_energy,
+    max_population,
     reweighted_energy,
     run_chain,
 )
@@ -54,17 +54,14 @@ def _config_hash(cfg_dict: dict) -> str:
 
 
 def _versions() -> dict:
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
+    # the chain kernel is numpy only; the numba and kernel_backend keys
+    # stay for run_manifest.v1 readers
     return {
         "shotgfmc": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
-        "kernel_backend": BACKEND,
+        "numba": None,
+        "kernel_backend": "numpy",
     }
 
 
@@ -172,7 +169,7 @@ def _cmd_scan(args) -> int:
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
-    trial = _build_trial(cfg, m)
+    trial, _ = _build_trial(cfg, m)
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "local_energy_scan.csv")
@@ -185,10 +182,11 @@ def _cmd_scan(args) -> int:
 
 
 def _build_trial(cfg: RunConfig, m: TfiModel):
+    """(trial table, GroundStateResult or None if no solve was needed)."""
     if cfg.trial_kind == "exact-groundstate":
         gs = ground_state(m)
-        return build_table("exact-groundstate", m, vector=gs.vector)
-    return build_table("jastrow", m, params=JastrowParams(cfg.lambda1, cfg.lambda2))
+        return build_table("exact-groundstate", m, vector=gs.vector), gs
+    return build_table("jastrow", m, params=JastrowParams(cfg.lambda1, cfg.lambda2)), None
 
 
 def _cmd_gfmc(args) -> int:
@@ -203,23 +201,29 @@ def _cmd_gfmc(args) -> int:
         cfg.validate()
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
-    trial = _build_trial(cfg, m)
-    gs_energy = ground_state(m).energy
+    trial, gs = _build_trial(cfg, m)
+    gs_energy = (gs if gs is not None else ground_state(m)).energy
     base = _gfmc_config(cfg)
     M = args.M
     rew, avg = [], []
     chain_rows = []
-    for rep in range(cfg.replicates):
-        rng = np.random.default_rng(derive_seed(cfg.base_seed, m.L, M or 0, rep))
-        table = trial
-        if M is not None:
-            table = noisy_amplitudes(sample_counts(trial.probabilities, M, rng),
-                                     {"rep": rep})
-        record = run_chain(base, table, m, rng)
-        rew.append(reweighted_energy(record).estimate / m.L)
-        avg.append(average_local_energy(record) / m.L)
-        if args.dump_chain:
-            chain_rows.append(record)
+    # populations of at most max_population walkers bound the record memory
+    width = max_population(base)
+    for first in range(0, cfg.replicates, width):
+        tables, rngs = [], []
+        for rep in range(first, min(first + width, cfg.replicates)):
+            rng = np.random.default_rng(derive_seed(cfg.base_seed, m.L, M or 0, rep))
+            table = trial
+            if M is not None:
+                table = noisy_amplitudes(sample_counts(trial.probabilities, M, rng),
+                                         {"rep": rep})
+            tables.append(table)
+            rngs.append(rng)
+        for record in run_chain(base, tables, m, rngs):
+            rew.append(reweighted_energy(record).estimate / m.L)
+            avg.append(average_local_energy(record) / m.L)
+            if args.dump_chain:
+                chain_rows.append(record)
     rew_arr, avg_arr = np.array(rew), np.array(avg)
 
     def _stats(a):

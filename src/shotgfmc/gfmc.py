@@ -1,6 +1,6 @@
-"""Single-walker Green's function Monte Carlo.
+"""Green's function Monte Carlo with independent walkers.
 
-The walker moves with the importance-sampled propagator built from
+Each walker moves with the importance-sampled propagator built from
 lam*1 - H and a trial amplitude table; only the sequence of normalization
 factors b and local energies e = lam - b is kept. The ground-state
 estimator multiplies a sliding window of l past b factors into each
@@ -9,7 +9,9 @@ the plain chain average of e is also exposed.
 
 The walker can only step onto states with nonzero amplitude, so tables
 with zero entries (shot-noise tables) confine the walk to the measured
-support.
+support. Walkers that share a model and a config are stepped together as
+one population (``_kernels.chain_fill``); every walker keeps its own
+table and generator, so its record does not depend on the population.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,9 @@ DEFAULT_REWEIGHT_WINDOW = 100
 
 # refresh cadence of the sliding log-weight sum (drift control)
 _WINDOW_RECOMPUTE_EVERY = 10_000
+
+# largest b record one population may hold; callers split bigger batches
+POPULATION_RECORD_BYTES = 8 << 20
 
 
 class UndefinedLocalEnergyError(ValueError):
@@ -164,32 +169,54 @@ def _draw_initial_state(t: AmplitudeTable, rng: np.random.Generator) -> int:
     if total <= 0.0:
         raise RuntimeError("amplitude table has no support")
     cdf = np.cumsum(p)
-    return int(np.searchsorted(cdf, rng.random() * total, side="right"))
+    x = int(np.searchsorted(cdf, rng.random() * total, side="right"))
+    if x == len(p):
+        # the pairwise total can exceed cdf[-1]; a draw in that gap
+        # belongs to the last state with p > 0
+        x = int(np.flatnonzero(p)[-1])
+    return x
 
 
-def run_chain(cfg: GfmcConfig, t: AmplitudeTable, m: TfiModel,
-              rng: np.random.Generator | None = None) -> ChainRecord:
-    """Generate one chain: seed -> initial state -> chain_length steps.
+def max_population(cfg: GfmcConfig) -> int:
+    """Most walkers whose b records fit in POPULATION_RECORD_BYTES (at least 1)."""
+    return max(1, POPULATION_RECORD_BYTES // (8 * (cfg.chain_length - cfg.warmup)))
 
-    The initial state is drawn from amps^2 (restricted to the support by
-    construction); the record covers steps warmup .. chain_length-1.
-    Identical (config, table, model) inputs reproduce the record bit for
-    bit.
+
+def run_chain(cfg: GfmcConfig, t, m: TfiModel, rng=None):
+    """Generate one chain, or a population of chains stepped in lockstep.
+
+    With one AmplitudeTable ``t`` (and one generator, default seeded by
+    cfg.seed) this returns one ChainRecord. With a sequence of tables and
+    a matching sequence of generators it returns one record per table.
+    Every walker draws its initial state from amps^2 (restricted to the
+    support by construction) and then chain_length uniforms from its own
+    generator; the record covers steps warmup .. chain_length-1. A
+    walker's record is a function of (config, table, model, generator
+    state) alone, bit for bit, whatever population it runs in.
     """
-    if t.L != m.L:
+    if isinstance(t, AmplitudeTable):
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
+        return run_chain(cfg, [t], m, [rng])[0]
+    tables, rngs = list(t), list(rng)
+    if not tables or len(tables) != len(rngs):
+        raise ValueError("a population needs one generator per table")
+    if any(table.L != m.L for table in tables):
         raise ValueError("table and model sizes disagree")
     lam = cfg.resolve_lambda_shift(m)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    x0 = _draw_initial_state(t, rng)
-    urand = rng.random(cfg.chain_length)
+    x = np.array([_draw_initial_state(table, r) for table, r in zip(tables, rngs)],
+                 dtype=np.int64)
     n_rec = cfg.chain_length - cfg.warmup
-    states = np.empty(n_rec, dtype=np.int64)
-    bvals = np.empty(n_rec)
-    wbuf = np.empty(m.L)
-    chain_fill(t.amps, m.L, m.J, m.Gamma, lam, cfg.warmup, x0, urand,
-               states, bvals, wbuf)
-    return ChainRecord(states, bvals, lam - bvals, cfg, lam, t.kind)
+    states = np.empty((n_rec, len(tables)), dtype=np.int64)
+    bvals = np.empty((n_rec, len(tables)))
+    chain_fill(np.stack([table.amps for table in tables]),
+               lam - all_diagonal_energies(m), m.Gamma, cfg.warmup, x, rngs,
+               states, bvals)
+    # one contiguous row per walker
+    states, bvals = np.ascontiguousarray(states.T), np.ascontiguousarray(bvals.T)
+    evals = lam - bvals
+    return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam, table.kind)
+            for w, table in enumerate(tables)]
 
 
 class ReweightedEstimate(NamedTuple):

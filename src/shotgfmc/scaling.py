@@ -25,7 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import ground_state
-from .gfmc import GfmcConfig, average_local_energy, reweighted_energy, run_chain
+from .gfmc import (
+    GfmcConfig,
+    average_local_energy,
+    max_population,
+    reweighted_energy,
+    run_chain,
+)
 from .model import TfiModel
 from .seeding import derive_seed
 from .shots import noisy_amplitudes, sample_counts
@@ -80,24 +86,36 @@ def default_m_grid(L: int, trial_kind: str, points_below: int = 9,
 
 
 def _run_replicate(args):
-    (L, M, rep, J, Gamma, amps, kind, lam, chain_length, warmup, l_reweight,
+    """Pool task: one population of (M, rep) walkers at one L.
+
+    Every walker samples its own frozen shot table from the shared trial
+    table with its own generator; the population then runs in lockstep.
+    The name predates populations; perfbench/tracing.py wraps it by name.
+    """
+    (L, walkers, J, Gamma, amps, kind, lam, chain_length, warmup, l_reweight,
      base_seed, estimator) = args
     try:
         m = TfiModel(L, J, Gamma)
-        trial = AmplitudeTable(L, amps, kind)
-        rng = np.random.default_rng(derive_seed(base_seed, L, M, rep))
-        counts = sample_counts(trial.probabilities, M, rng)
-        noisy = noisy_amplitudes(counts, {"base_seed": base_seed, "rep": rep, "M": M})
+        p = AmplitudeTable(L, amps, kind).probabilities
+        tables, rngs = [], []
+        for M, rep in walkers:
+            rng = np.random.default_rng(derive_seed(base_seed, L, M, rep))
+            counts = sample_counts(p, M, rng)
+            tables.append(noisy_amplitudes(counts, {"base_seed": base_seed, "rep": rep,
+                                                    "M": M}))
+            rngs.append(rng)
         cfg = GfmcConfig(lambda_shift=lam, chain_length=chain_length,
                          warmup=warmup, l_reweight=l_reweight)
-        record = run_chain(cfg, noisy, m, rng)
+        records = run_chain(cfg, tables, m, rngs)
         if estimator == "reweighted":
-            est = reweighted_energy(record).estimate
+            ests = [reweighted_energy(r).estimate for r in records]
         else:
-            est = average_local_energy(record)
+            ests = [average_local_energy(r) for r in records]
     except Exception as exc:
-        raise RuntimeError(f"replicate failed at L={L} M={M} rep={rep}") from exc
-    return L, M, rep, est / L
+        (M0, rep0), (M1, rep1) = walkers[0], walkers[-1]
+        raise RuntimeError(f"population failed at L={L} (M={M0} rep={rep0} .. "
+                           f"M={M1} rep={rep1})") from exc
+    return [(L, M, rep, est / L) for (M, rep), est in zip(walkers, ests)]
 
 
 def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
@@ -108,10 +126,13 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     """One SweepPoint per (L, M): replicates chains on fresh frozen tables.
 
     m_grid may be None (default per-L grids), a list shared by every L, or
-    a dict mapping L to its own list. Replicates fan out over a process
-    pool when threads > 1; task seeds depend only on (base_seed, L, M,
-    rep), so the schedule cannot change any number. A failed replicate
-    aborts the sweep with its (L, M, rep) context attached.
+    a dict mapping L to its own list. The walkers of one L are split into
+    populations of min(ceil(walkers / threads), max_population) that fan
+    out over a process pool when threads > 1. Walker seeds depend only on
+    (base_seed, L, M, rep) and a walker's trajectory does not depend on
+    its population, so neither the schedule nor threads can change any
+    number. A failed population aborts the sweep with its (L, M, rep)
+    range attached.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -119,6 +140,8 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         raise ValueError(f"trial_kind must be one of {TRIAL_KINDS}")
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    if threads is None:
+        threads = os.cpu_count() or 1
 
     tasks = []
     e0_per_site = {}
@@ -140,22 +163,21 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
             ms = default_m_grid(L, trial_kind)
         else:
             ms = list(m_grid)
-        for M in ms:
-            for rep in range(replicates):
-                tasks.append((L, int(M), rep, J, Gamma, trial.amps, trial.kind,
-                              lam, base_cfg.chain_length, base_cfg.warmup,
-                              base_cfg.l_reweight, base_seed, estimator))
+        walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
+        width = min(-(-len(walkers) // max(threads, 1)), max_population(base_cfg))
+        for i in range(0, len(walkers), width):
+            tasks.append((L, walkers[i:i + width], J, Gamma, trial.amps, trial.kind,
+                          lam, base_cfg.chain_length, base_cfg.warmup,
+                          base_cfg.l_reweight, base_seed, estimator))
 
     results = {}
-    if threads is None:
-        threads = os.cpu_count() or 1
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for (L, M, rep, est) in pool.map(_run_replicate, tasks, chunksize=4):
-                results[(L, M, rep)] = est
+            outcomes = list(pool.map(_run_replicate, tasks))
     else:
-        for task in tasks:
-            L, M, rep, est = _run_replicate(task)
+        outcomes = [_run_replicate(task) for task in tasks]
+    for outcome in outcomes:
+        for (L, M, rep, est) in outcome:
             results[(L, M, rep)] = est
 
     points = []

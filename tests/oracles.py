@@ -85,3 +85,74 @@ def stationary_distribution(amps: np.ndarray, L: int, J: float, Gamma: float,
             return nxt
         pi = nxt
     raise RuntimeError("stationary distribution did not converge")
+
+
+def chain_fill_scalar(amps, L, J, Gamma, lam, warmup, x0, urand, states, bvals, wbuf):
+    """Walk the chain for len(urand) steps, recording after warmup.
+
+    The single-walker loop the population kernel must reproduce bit for
+    bit. For the current state x the row of the importance-sampled
+    propagator is
+      stay weight   lam - E_diag(x)
+      flip weight k Gamma * amps[x ^ 1<<k] / amps[x]
+    b is the row sum and the next state is drawn by inverse CDF, first
+    index wins on ties. states/bvals hold x and b for steps >= warmup.
+    """
+    n_steps = urand.shape[0]
+    x = x0
+    for n in range(n_steps):
+        ax = amps[x]
+        acc = 0
+        for k in range(L):
+            kk = k + 1
+            if kk == L:
+                kk = 0
+            if ((x >> k) & 1) == ((x >> kk) & 1):
+                acc += 1
+            else:
+                acc -= 1
+        w_stay = lam + J * acc
+        b = w_stay
+        for k in range(L):
+            wk = Gamma * (amps[x ^ (1 << k)] / ax)
+            wbuf[k] = wk
+            b += wk
+        if n >= warmup:
+            states[n - warmup] = x
+            bvals[n - warmup] = b
+        t = urand[n] * b
+        if t >= w_stay:
+            c = w_stay
+            sel = -1
+            last_pos = -1
+            for k in range(L):
+                if wbuf[k] > 0.0:
+                    last_pos = k
+                c += wbuf[k]
+                if t < c:
+                    sel = k
+                    break
+            if sel < 0:
+                # cumulative roundoff left t at/past the top; take the
+                # last nonempty interval (stay if there is none)
+                sel = last_pos
+            if sel >= 0:
+                x = x ^ (1 << sel)
+    return x
+
+
+def sliding_window_sums_scalar(values, width, recompute_every, out):
+    """out[j] = sum(values[j : j+width]) by a running add/subtract update,
+    refreshed from scratch every recompute_every steps."""
+    s = 0.0
+    for i in range(width):
+        s += values[i]
+    out[0] = s
+    for j in range(1, out.shape[0]):
+        if j % recompute_every == 0:
+            s = 0.0
+            for i in range(j, j + width):
+                s += values[i]
+        else:
+            s = s + values[j + width - 1] - values[j - 1]
+        out[j] = s

@@ -50,17 +50,16 @@ def _sha(data: bytes) -> str:
 # deterministic builders, shared by the fixtures and by criterion 10
 
 def build_noiseless_estimates():
-    """Criterion 4 pipeline: noiseless Jastrow chains, 16 per size."""
+    """Criterion 4 pipeline: noiseless Jastrow chains, one population of 16 per size."""
     per_L = {}
     for L in SWEEP_SIZES:
         m = TfiModel(L)
         trial = build_table("jastrow", m)
         e0ps = ground_state(m).energy / L
-        ests = []
-        for rep in range(16):
-            rng = np.random.default_rng(derive_seed(BASE_SEED, L, 0, rep))
-            rec = run_chain(NOISELESS_CFG, trial, m, rng)
-            ests.append(reweighted_energy(rec).estimate / L)
+        rngs = [np.random.default_rng(derive_seed(BASE_SEED, L, 0, rep))
+                for rep in range(16)]
+        records = run_chain(NOISELESS_CFG, [trial] * 16, m, rngs)
+        ests = [reweighted_energy(rec).estimate / L for rec in records]
         per_L[L] = (np.array(ests), e0ps)
     return per_L
 

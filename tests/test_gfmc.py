@@ -1,16 +1,14 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from shotgfmc.exact import ground_state
+from shotgfmc._kernels import sliding_window_sums
 from shotgfmc.gfmc import (
+    _WINDOW_RECOMPUTE_EVERY,
     ChainRecord,
     GfmcConfig,
     UndefinedLocalEnergyError,
+    _draw_initial_state,
     auto_lambda_shift,
     average_local_energy,
     green_row,
@@ -22,9 +20,15 @@ from shotgfmc.gfmc import (
 )
 from shotgfmc.model import TfiModel
 from shotgfmc.shots import ShotCounts, noisy_amplitudes, sample_counts
-from shotgfmc.trial import build_table
+from shotgfmc.trial import AmplitudeTable, build_table
 
-from oracles import jastrow_amp_direct, local_energy_direct, stationary_distribution
+from oracles import (
+    chain_fill_scalar,
+    jastrow_amp_direct,
+    local_energy_direct,
+    sliding_window_sums_scalar,
+    stationary_distribution,
+)
 
 
 def _noisy_table(L, M, seed):
@@ -212,25 +216,127 @@ def test_run_chain_reachability_respects_support():
     assert np.all(t.amps[visited] > 0)
 
 
-def test_backends_produce_identical_chains():
-    # the numpy fallback must reproduce the numba trajectory bit for bit
-    code = (
-        "import numpy as np\n"
-        "from shotgfmc.gfmc import GfmcConfig, run_chain\n"
-        "from shotgfmc.model import TfiModel\n"
-        "from shotgfmc.trial import build_table\n"
-        "m = TfiModel(5)\n"
-        "t = build_table('jastrow', m)\n"
-        "rec = run_chain(GfmcConfig(chain_length=3000, warmup=20, l_reweight=30, seed=11), t, m)\n"
-        "print(hash((rec.states.tobytes(), rec.b_values.tobytes())))\n"
-    )
-    digests = {}
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ, SHOTGFMC_BACKEND=backend, PYTHONHASHSEED="0")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        digests[backend] = out.stdout.strip()
-    assert digests["numba"] == digests["numpy"]
+def _population_tables():
+    """(model, tables) at L = 2 and L = 6: full-support tables, shot-noise
+    tables with zero entries, and a single-state support last."""
+    out = []
+    for L in (2, 6):
+        m = TfiModel(L)
+        trial = build_table("jastrow", m)
+        tables = [trial, build_table("uniform", m)]
+        tables += [_noisy_table(L, M, seed) for M, seed in ((3, 1), (40, 2), (5000, 3))]
+        single = np.zeros(1 << L, dtype=np.int64)
+        single[(1 << L) - 2] = 9
+        tables.append(noisy_amplitudes(ShotCounts(L, 9, single)))
+        out.append((m, tables))
+    return out
+
+
+def _scalar_chain(cfg, t, m, rng):
+    lam = cfg.resolve_lambda_shift(m)
+    x0 = _draw_initial_state(t, rng)
+    urand = rng.random(cfg.chain_length)
+    states = np.empty(cfg.chain_length - cfg.warmup, dtype=np.int64)
+    bvals = np.empty(cfg.chain_length - cfg.warmup)
+    chain_fill_scalar(t.amps, m.L, m.J, m.Gamma, lam, cfg.warmup, x0, urand,
+                      states, bvals, np.empty(m.L))
+    return states, bvals
+
+
+def test_population_matches_scalar_reference():
+    # every walker of a mixed population reproduces the single-walker loop
+    # step for step; the chain is longer than one block of uniforms
+    cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=40)
+    for m, tables in _population_tables():
+        seeds = [50 + w for w in range(len(tables))]
+        records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in seeds])
+        assert len(records) == len(tables)
+        for t, seed, rec in zip(tables, seeds, records):
+            states, bvals = _scalar_chain(cfg, t, m, np.random.default_rng(seed))
+            assert rec.states.tobytes() == states.tobytes()
+            assert rec.b_values.tobytes() == bvals.tobytes()
+            assert np.all(t.amps[rec.states] > 0)
+        single = records[-1]
+        assert np.all(single.states == (1 << m.L) - 2)
+
+
+def test_population_width_does_not_change_records():
+    m = TfiModel(5)
+    tables = [_noisy_table(5, M, 7) for M in (20, 200, 2000)]
+    cfg = GfmcConfig(chain_length=1500, warmup=10, l_reweight=20)
+    together = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in (1, 2, 3)])
+    for t, seed, rec in zip(tables, (1, 2, 3), together):
+        alone = run_chain(cfg, t, m, np.random.default_rng(seed))
+        assert alone.states.tobytes() == rec.states.tobytes()
+        assert alone.b_values.tobytes() == rec.b_values.tobytes()
+        assert alone.e_values.tobytes() == rec.e_values.tobytes()
+
+
+class _ConstUniforms:
+    """Generator stand-in whose every uniform is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+def test_cdf_top_fallback_matches_scalar():
+    # u = 1 puts t = u*b exactly on the row total, past every CDF entry,
+    # which is the only way to reach the last-positive-weight fallback
+    # (any u < 1 rounds t below b); stay where no flip weight is positive
+    cfg = GfmcConfig(chain_length=300, warmup=0, l_reweight=10)
+    for m, tables in _population_tables():
+        records = run_chain(cfg, tables, m, [_ConstUniforms(1.0) for _ in tables])
+        for t, rec in zip(tables, records):
+            states, bvals = _scalar_chain(cfg, t, m, _ConstUniforms(1.0))
+            assert rec.states.tobytes() == states.tobytes()
+            assert rec.b_values.tobytes() == bvals.tobytes()
+        assert len(np.unique(records[0].states)) > 1
+        assert np.all(records[-1].states == (1 << m.L) - 2)
+
+
+def test_run_chain_population_validation():
+    m = TfiModel(4)
+    t = build_table("jastrow", m)
+    cfg = GfmcConfig(chain_length=500, warmup=10, l_reweight=20)
+    with pytest.raises(ValueError):
+        run_chain(cfg, [t, t], m, [np.random.default_rng(0)])
+    with pytest.raises(ValueError):
+        run_chain(cfg, [], m, [])
+    with pytest.raises(ValueError):
+        run_chain(cfg, [build_table("jastrow", TfiModel(5))], m, [np.random.default_rng(0)])
+
+
+def test_draw_initial_state_top_ulp_stays_on_support():
+    # a table whose pairwise p.sum() exceeds the sequential cumsum[-1]: a
+    # draw in the top ulp used to return index 2^L
+    m = TfiModel(10)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        amps = rng.random(m.n_states)
+        amps[-3:] = 0.0
+        amps /= np.linalg.norm(amps)
+        t = AmplitudeTable(m.L, amps, "jastrow")
+        if t.probabilities.sum() > np.cumsum(t.probabilities)[-1]:
+            break
+    else:
+        pytest.fail("no table with p.sum() > cumsum[-1] found")
+    top = _ConstUniforms(np.nextafter(1.0, 0.0))
+    assert _draw_initial_state(t, top) == m.n_states - 4
+
+
+def test_sliding_window_sums_match_scalar_loop():
+    rng = np.random.default_rng(4)
+    for n, width, every in ((25_000, 100, _WINDOW_RECOMPUTE_EVERY), (1000, 40, 13),
+                            (50, 1, 7), (7, 3, 2)):
+        values = np.log(rng.uniform(0.5, 12.0, size=n))
+        out = np.empty(n - width + 1)
+        ref = np.empty_like(out)
+        sliding_window_sums(values, width, every, out)
+        sliding_window_sums_scalar(values, width, every, ref)
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_reweighted_constant_energy_identity():
@@ -287,11 +393,10 @@ def test_noiseless_gfmc_converges_to_e0():
     m = TfiModel(6)
     t = build_table("jastrow", m)
     e0 = ground_state(m).energy / 6
-    ests = []
-    for rep in range(8):
-        cfg = GfmcConfig(chain_length=30_000, warmup=500, l_reweight=100, seed=100 + rep)
-        ests.append(reweighted_energy(run_chain(cfg, t, m)).estimate / 6)
-    ests = np.array(ests)
+    cfg = GfmcConfig(chain_length=30_000, warmup=500, l_reweight=100)
+    rngs = [np.random.default_rng(100 + rep) for rep in range(8)]
+    ests = np.array([reweighted_energy(rec).estimate / 6
+                     for rec in run_chain(cfg, [t] * 8, m, rngs)])
     se = ests.std(ddof=1) / np.sqrt(len(ests))
     assert abs(ests.mean() - e0) <= 4 * se
 
