@@ -9,21 +9,11 @@ The package has three layers:
 
 __version__ = "0.1.0"
 
-from .model import TfiModel, connected_set, diagonal_energy, flip, spin_value
+from .model import TfiModel
 from .trial import AmplitudeTable, JastrowParams, build_table
 from .exact import GroundStateResult, apply_hamiltonian, ground_state, variational_energy
 from .shots import ShotCounts, noisy_amplitudes, sample_counts, local_energy_scan
-from .gfmc import (
-    ChainRecord,
-    GfmcConfig,
-    UndefinedLocalEnergyError,
-    average_local_energy,
-    green_row,
-    local_energy,
-    reweighted_energy,
-    run_chain,
-    transition_step,
-)
+from .gfmc import ChainRecord, GfmcConfig, average_local_energy, reweighted_energy, run_chain
 from .scaling import (
     SweepPoint,
     crossing_M,
@@ -37,10 +27,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "TfiModel",
-    "spin_value",
-    "flip",
-    "diagonal_energy",
-    "connected_set",
     "JastrowParams",
     "AmplitudeTable",
     "build_table",
@@ -54,10 +40,6 @@ __all__ = [
     "local_energy_scan",
     "GfmcConfig",
     "ChainRecord",
-    "UndefinedLocalEnergyError",
-    "local_energy",
-    "green_row",
-    "transition_step",
     "run_chain",
     "reweighted_energy",
     "average_local_energy",

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, DEFAULT_BASE_SEED, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .exact import ground_state
 from .gfmc import (
     GfmcConfig,
@@ -117,10 +117,10 @@ def _parse_float_list(text: str, what: str) -> list:
         raise ConfigError(f"{what} must be a comma-separated number list: {text!r}") from exc
 
 
-def _gfmc_config(cfg: RunConfig, seed: int = 0) -> GfmcConfig:
+def _gfmc_config(cfg: RunConfig) -> GfmcConfig:
     lam = None if cfg.lambda_shift == "auto" else float(cfg.lambda_shift)
     return GfmcConfig(lambda_shift=lam, chain_length=cfg.chain_length,
-                      warmup=cfg.warmup, l_reweight=cfg.l_reweight, seed=seed)
+                      warmup=cfg.warmup, l_reweight=cfg.l_reweight)
 
 
 def _print_json(payload: dict) -> None:
@@ -215,12 +215,11 @@ def _cmd_gfmc(args) -> int:
             rng = np.random.default_rng(derive_seed(cfg.base_seed, m.L, M or 0, rep))
             table = trial
             if M is not None:
-                table = noisy_amplitudes(sample_counts(trial.probabilities, M, rng),
-                                         {"rep": rep})
+                table = noisy_amplitudes(sample_counts(trial.probabilities, M, rng))
             tables.append(table)
             rngs.append(rng)
         for record in run_chain(base, tables, m, rngs):
-            rew.append(reweighted_energy(record).estimate / m.L)
+            rew.append(reweighted_energy(record) / m.L)
             avg.append(average_local_energy(record) / m.L)
             if args.dump_chain:
                 chain_rows.append(record)
@@ -284,13 +283,12 @@ def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     cache_path = os.path.join(cfg.out_dir, "e0_cache.json")
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     points = run_sweep(
         cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),
         replicates=cfg.replicates, J=cfg.J, Gamma=cfg.Gamma,
         base_seed=cfg.base_seed, estimator=cfg.estimator,
         jastrow=JastrowParams(cfg.lambda1, cfg.lambda2),
-        threads=threads, e0_cache_path=cache_path,
+        threads=args.threads, e0_cache_path=cache_path,
     )
     result = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
                        band=cfg.crossing_band, crossing_method=cfg.crossing_method)

@@ -19,6 +19,8 @@ from .scaling import (
 
 DEFAULT_BASE_SEED = 12345
 
+OUTPUT_FORMATS = ("csv", "json")
+
 
 class ConfigError(ValueError):
     pass
@@ -92,6 +94,8 @@ class RunConfig:
         _require(self.crossing_method in ("local", "prefactor"),
                  "experiment.crossing_method must be 'local' or 'prefactor'")
         _require(self.estimator in ESTIMATORS, f"experiment.estimator must be one of {ESTIMATORS}")
+        _require(all(f in OUTPUT_FORMATS for f in self.formats),
+                 f"output.formats entries must be among {OUTPUT_FORMATS}, got {self.formats!r}")
         return self
 
     def to_dict(self) -> dict:

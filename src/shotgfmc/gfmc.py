@@ -15,12 +15,11 @@ table and generator, so its record does not depend on the population.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import chain_fill, sliding_window_sums
-from .model import TfiModel, all_diagonal_energies, diagonal_energy
+from .model import TfiModel, all_diagonal_energies
 from .trial import AmplitudeTable
 
 DEFAULT_CHAIN_LENGTH = 50_000
@@ -32,10 +31,6 @@ _WINDOW_RECOMPUTE_EVERY = 10_000
 
 # largest b record one population may hold; callers split bigger batches
 POPULATION_RECORD_BYTES = 8 << 20
-
-
-class UndefinedLocalEnergyError(ValueError):
-    """Local energy requested at a state with zero trial amplitude."""
 
 
 def auto_lambda_shift(m: TfiModel) -> float:
@@ -60,7 +55,6 @@ class GfmcConfig:
     chain_length: int = DEFAULT_CHAIN_LENGTH
     warmup: int = DEFAULT_WARMUP
     l_reweight: int = DEFAULT_REWEIGHT_WINDOW
-    seed: int = 0
 
     def __post_init__(self):
         if self.chain_length <= self.warmup + self.l_reweight:
@@ -90,21 +84,9 @@ class ChainRecord:
     e_values: np.ndarray
     config: GfmcConfig
     lambda_shift: float
-    table_kind: str
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def local_energy(x: int, t: AmplitudeTable, m: TfiModel) -> float:
-    """<x|H|psi> / <x|psi> from the amplitude table."""
-    ax = t.amps[x]
-    if ax == 0.0:
-        raise UndefinedLocalEnergyError(f"state {x} has zero amplitude")
-    acc = 0.0
-    for k in range(m.L):
-        acc += t.amps[x ^ (1 << k)]
-    return diagonal_energy(x, m) - m.Gamma * acc / ax
 
 
 def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +94,7 @@ def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.n
 
     Returns (e, defined): e[x] is NaN where the amplitude vanishes and
     defined is the boolean support mask. Zero-amplitude neighbors
-    contribute nothing, exactly as in the single-state form.
+    contribute nothing.
     """
     idx = np.arange(m.n_states, dtype=np.int64)
     defined = t.amps > 0.0
@@ -124,43 +106,6 @@ def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.n
         all_diagonal_energies(m)[defined] - m.Gamma * acc[defined] / t.amps[defined]
     )
     return e, defined
-
-
-def green_row(x: int, t: AmplitudeTable, m: TfiModel, lam: float):
-    """One row of the importance-sampled propagator.
-
-    Returns (weights, b): weights in connected-set order (stay entry
-    first, then flips by site), b their sum. b == lam - local_energy(x)
-    up to roundoff.
-    """
-    ax = t.amps[x]
-    if ax == 0.0:
-        raise UndefinedLocalEnergyError(f"state {x} has zero amplitude")
-    if lam <= m.L * m.J:
-        raise ValueError(f"lambda shift {lam} must exceed L*J = {m.L * m.J}")
-    weights = np.empty(m.L + 1)
-    weights[0] = lam - diagonal_energy(x, m)
-    for k in range(m.L):
-        weights[k + 1] = m.Gamma * t.amps[x ^ (1 << k)] / ax
-    if np.any(weights < 0):
-        raise RuntimeError("negative propagator weight; invariant violated")
-    return weights, float(weights.sum())
-
-
-def transition_step(x: int, t: AmplitudeTable, m: TfiModel, lam: float,
-                    rng: np.random.Generator) -> int:
-    """Sample the next walker state by inverse CDF over the row of x."""
-    weights, b = green_row(x, t, m, lam)
-    target = rng.random() * b
-    cum = 0.0
-    for i in range(m.L + 1):
-        cum += weights[i]
-        if target < cum:
-            return x if i == 0 else x ^ (1 << (i - 1))
-    # roundoff pushed target past the accumulated total
-    nz = np.nonzero(weights)[0]
-    i = int(nz[-1])
-    return x if i == 0 else x ^ (1 << (i - 1))
 
 
 def _draw_initial_state(t: AmplitudeTable, rng: np.random.Generator) -> int:
@@ -182,23 +127,18 @@ def max_population(cfg: GfmcConfig) -> int:
     return max(1, POPULATION_RECORD_BYTES // (8 * (cfg.chain_length - cfg.warmup)))
 
 
-def run_chain(cfg: GfmcConfig, t, m: TfiModel, rng=None):
-    """Generate one chain, or a population of chains stepped in lockstep.
+def run_chain(cfg: GfmcConfig, tables, m: TfiModel, rngs) -> list[ChainRecord]:
+    """Generate a population of chains stepped in lockstep, one per table.
 
-    With one AmplitudeTable ``t`` (and one generator, default seeded by
-    cfg.seed) this returns one ChainRecord. With a sequence of tables and
-    a matching sequence of generators it returns one record per table.
-    Every walker draws its initial state from amps^2 (restricted to the
-    support by construction) and then chain_length uniforms from its own
-    generator; the record covers steps warmup .. chain_length-1. A
-    walker's record is a function of (config, table, model, generator
-    state) alone, bit for bit, whatever population it runs in.
+    tables and rngs are matching sequences: walker w runs on tables[w]
+    and draws from rngs[w]. Every walker draws its initial state from
+    amps^2 (restricted to the support by construction) and then
+    chain_length uniforms from its own generator; its record covers steps
+    warmup .. chain_length-1. A walker's record is a function of (config,
+    table, model, generator state) alone, bit for bit, whatever
+    population it runs in.
     """
-    if isinstance(t, AmplitudeTable):
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        return run_chain(cfg, [t], m, [rng])[0]
-    tables, rngs = list(t), list(rng)
+    tables, rngs = list(tables), list(rngs)
     if not tables or len(tables) != len(rngs):
         raise ValueError("a population needs one generator per table")
     if any(table.L != m.L for table in tables):
@@ -215,24 +155,16 @@ def run_chain(cfg: GfmcConfig, t, m: TfiModel, rng=None):
     # one contiguous row per walker
     states, bvals = np.ascontiguousarray(states.T), np.ascontiguousarray(bvals.T)
     evals = lam - bvals
-    return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam, table.kind)
-            for w, table in enumerate(tables)]
+    return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam)
+            for w in range(len(tables))]
 
 
-class ReweightedEstimate(NamedTuple):
-    estimate: float
-    numerator: float
-    denominator: float
-
-
-def reweighted_energy(r: ChainRecord, l: int | None = None) -> ReweightedEstimate:
+def reweighted_energy(r: ChainRecord, l: int | None = None) -> float:
     """Ground-state energy estimate from the recorded (b, e) sequences.
 
     Each sample n >= l carries the product of the l preceding b factors,
     accumulated as a sliding sum of log b and max-shifted before
-    exponentiation. The returned numerator and denominator share that
-    common positive rescaling, which cancels in the ratio; they are
-    exposed for inspecting how strongly the two sums correlate.
+    exponentiation; the common positive rescaling cancels in the ratio.
     """
     if l is None:
         l = r.config.l_reweight
@@ -245,9 +177,7 @@ def reweighted_energy(r: ChainRecord, l: int | None = None) -> ReweightedEstimat
     log_weights = np.empty(n - l)
     sliding_window_sums(logb, l, _WINDOW_RECOMPUTE_EVERY, log_weights)
     g = np.exp(log_weights - log_weights.max())
-    num = float(np.sum(g * r.e_values[l:]))
-    den = float(np.sum(g))
-    return ReweightedEstimate(num / den, num, den)
+    return float(np.sum(g * r.e_values[l:])) / float(np.sum(g))
 
 
 def average_local_energy(r: ChainRecord) -> float:

@@ -40,51 +40,6 @@ class TfiModel:
         return (1 << self.L) - 1
 
 
-def _check_state(x: int, m: TfiModel) -> None:
-    if not 0 <= x < m.n_states:
-        raise ValueError(f"configuration {x!r} out of range for L={m.L}")
-
-
-def spin_value(x: int, k: int, m: TfiModel) -> int:
-    """Spin at site k: +1 for a clear bit, -1 for a set bit."""
-    _check_state(x, m)
-    if not 0 <= k < m.L:
-        raise ValueError(f"site index {k!r} out of range for L={m.L}")
-    return 1 - 2 * ((x >> k) & 1)
-
-
-def flip(x: int, k: int, m: TfiModel) -> int:
-    """Configuration with the spin at site k flipped."""
-    _check_state(x, m)
-    if not 0 <= k < m.L:
-        raise ValueError(f"site index {k!r} out of range for L={m.L}")
-    return x ^ (1 << k)
-
-
-def diagonal_energy(x: int, m: TfiModel) -> float:
-    """-J * sum_k s_k s_{k+1} over the L periodic bonds."""
-    _check_state(x, m)
-    acc = 0
-    for k in range(m.L):
-        acc += 1 if ((x >> k) & 1) == ((x >> ((k + 1) % m.L)) & 1) else -1
-    return -m.J * acc
-
-
-def connected_set(x: int, m: TfiModel) -> list[tuple[int, float]]:
-    """All (x', <x'|H|x>) with a nonzero structural matrix element.
-
-    Exactly L+1 pairs: the diagonal entry first, then the L single-spin
-    flips in ascending site order. Off-diagonal elements are emitted even
-    when Gamma == 0 so the shape never depends on the couplings.
-    """
-    _check_state(x, m)
-    out = [(x, diagonal_energy(x, m))]
-    h = -m.Gamma
-    for k in range(m.L):
-        out.append((x ^ (1 << k), h))
-    return out
-
-
 def _popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
 
@@ -99,5 +54,5 @@ def bond_correlations(m: TfiModel, offset: int) -> np.ndarray:
 
 
 def all_diagonal_energies(m: TfiModel) -> np.ndarray:
-    """diagonal_energy for every basis state in index order."""
+    """-J * sum_k s_k s_{k+1} over the L periodic bonds, for every basis state."""
     return -m.J * bond_correlations(m, 1).astype(np.float64)

@@ -35,7 +35,7 @@ from .gfmc import (
 from .model import TfiModel
 from .seeding import derive_seed
 from .shots import noisy_amplitudes, sample_counts
-from .trial import AmplitudeTable, JastrowParams, build_table
+from .trial import JastrowParams, build_table
 
 SECONDS_PER_YEAR = 3.156e7
 
@@ -89,26 +89,24 @@ def _run_replicate(args):
     """Pool task: one population of (M, rep) walkers at one L.
 
     Every walker samples its own frozen shot table from the shared trial
-    table with its own generator; the population then runs in lockstep.
+    probabilities p with its own generator; the population then runs in
+    lockstep.
     The name predates populations; perfbench/tracing.py wraps it by name.
     """
-    (L, walkers, J, Gamma, amps, kind, lam, chain_length, warmup, l_reweight,
+    (L, walkers, J, Gamma, p, lam, chain_length, warmup, l_reweight,
      base_seed, estimator) = args
     try:
         m = TfiModel(L, J, Gamma)
-        p = AmplitudeTable(L, amps, kind).probabilities
         tables, rngs = [], []
         for M, rep in walkers:
             rng = np.random.default_rng(derive_seed(base_seed, L, M, rep))
-            counts = sample_counts(p, M, rng)
-            tables.append(noisy_amplitudes(counts, {"base_seed": base_seed, "rep": rep,
-                                                    "M": M}))
+            tables.append(noisy_amplitudes(sample_counts(p, M, rng)))
             rngs.append(rng)
         cfg = GfmcConfig(lambda_shift=lam, chain_length=chain_length,
                          warmup=warmup, l_reweight=l_reweight)
         records = run_chain(cfg, tables, m, rngs)
         if estimator == "reweighted":
-            ests = [reweighted_energy(r).estimate for r in records]
+            ests = [reweighted_energy(r) for r in records]
         else:
             ests = [average_local_energy(r) for r in records]
     except Exception as exc:
@@ -122,16 +120,16 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
               replicates: int = 16, *, J: float = 1.0, Gamma: float = 1.0,
               base_seed: int = 0, estimator: str = "reweighted",
               jastrow: JastrowParams | None = None, ed_tol: float = 1e-10,
-              threads: int = 1, e0_cache_path=None) -> list[SweepPoint]:
+              threads: int | None = 1, e0_cache_path=None) -> list[SweepPoint]:
     """One SweepPoint per (L, M): replicates chains on fresh frozen tables.
 
     m_grid may be None (default per-L grids), a list shared by every L, or
     a dict mapping L to its own list. The walkers of one L are split into
     populations of min(ceil(walkers / threads), max_population) that fan
-    out over a process pool when threads > 1. Walker seeds depend only on
-    (base_seed, L, M, rep) and a walker's trajectory does not depend on
-    its population, so neither the schedule nor threads can change any
-    number. A failed population aborts the sweep with its (L, M, rep)
+    out over a process pool when threads > 1; threads=None means one per
+    core. Walker seeds depend only on (base_seed, L, M, rep) and a
+    walker's trajectory does not depend on its population, so neither the
+    schedule nor threads can change any number. A failed population aborts the sweep with its (L, M, rep)
     range attached.
     """
     if estimator not in ESTIMATORS:
@@ -164,11 +162,12 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         else:
             ms = list(m_grid)
         walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
+        p = trial.probabilities
         width = min(-(-len(walkers) // max(threads, 1)), max_population(base_cfg))
         for i in range(0, len(walkers), width):
-            tasks.append((L, walkers[i:i + width], J, Gamma, trial.amps, trial.kind,
-                          lam, base_cfg.chain_length, base_cfg.warmup,
-                          base_cfg.l_reweight, base_seed, estimator))
+            tasks.append((L, walkers[i:i + width], J, Gamma, p, lam,
+                          base_cfg.chain_length, base_cfg.warmup, base_cfg.l_reweight,
+                          base_seed, estimator))
 
     results = {}
     if threads > 1:
@@ -435,11 +434,9 @@ def extrapolate_runtime(a: float, b: float, L: int, circuit_layers: int,
     One shot costs circuit_layers / gate_clock_hz seconds; qubit reset,
     readout and communication latency are not included.
     """
-    if a <= 0 or L <= 0 or circuit_layers <= 0 or gate_clock_hz <= 0:
-        raise ValueError("all extrapolation inputs must be positive (b may be any real)")
-    shots = a * 2.0 ** (b * L)
-    seconds = shots * circuit_layers / gate_clock_hz
-    return RuntimeEstimate(shots, seconds, seconds / SECONDS_PER_YEAR)
+    if a <= 0 or L <= 0:
+        raise ValueError("a and L must be positive (b may be any real)")
+    return runtime_for_shots(a * 2.0 ** (b * L), circuit_layers, gate_clock_hz)
 
 
 def runtime_for_shots(shots: float, circuit_layers: int,

@@ -53,12 +53,9 @@ def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> ShotCounts
     return ShotCounts(L, M, counts)
 
 
-def noisy_amplitudes(c: ShotCounts, provenance: dict | None = None) -> AmplitudeTable:
+def noisy_amplitudes(c: ShotCounts) -> AmplitudeTable:
     """sqrt(counts/M): zero counts give amplitude exactly zero."""
-    amps = np.sqrt(c.counts / c.M)
-    prov = dict(provenance or {})
-    prov["M"] = c.M
-    return AmplitudeTable(c.L, amps, "noisy", prov)
+    return AmplitudeTable(c.L, np.sqrt(c.counts / c.M), "noisy")
 
 
 @dataclass
@@ -102,7 +99,7 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
     p = trial.probabilities
     for rep in range(reps):
         rng = np.random.default_rng(derive_seed(seed, m.L, M, rep))
-        table = noisy_amplitudes(sample_counts(p, M, rng), {"rep": rep, "seed": seed})
+        table = noisy_amplitudes(sample_counts(p, M, rng))
         e_noisy, _ = local_energy_table(table, m)
         noisy_amp[rep] = table.amps
         noisy_eloc[rep] = e_noisy

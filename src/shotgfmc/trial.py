@@ -5,8 +5,7 @@ nonnegative. The Jastrow ansatz is evaluated in the log domain with a
 max-shift before exponentiation.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class AmplitudeTable:
     L: int
     amps: np.ndarray
     kind: str
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in TABLE_KINDS:
@@ -57,21 +55,11 @@ class AmplitudeTable:
         return self.amps * self.amps
 
 
-def jastrow_log_amplitude(x: int, p: JastrowParams, m: TfiModel) -> float:
-    """Log of the unnormalized Jastrow amplitude at configuration x."""
-    if not 0 <= x < m.n_states:
-        raise ValueError(f"configuration {x!r} out of range for L={m.L}")
-    c1 = c2 = 0
-    L = m.L
-    for k in range(L):
-        s = 1 - 2 * ((x >> k) & 1)
-        c1 += s * (1 - 2 * ((x >> ((k + 1) % L)) & 1))
-        c2 += s * (1 - 2 * ((x >> ((k + 2) % L)) & 1))
-    return p.lambda1 * c1 + p.lambda2 * c2
-
-
 def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
-    """Vectorized jastrow_log_amplitude over the whole basis."""
+    """Log of the unnormalized Jastrow amplitude for every basis state.
+
+    lambda1 * sum_k s_k s_{k+1} + lambda2 * sum_k s_k s_{k+2}, periodic.
+    """
     c1 = bond_correlations(m, 1).astype(np.float64)
     c2 = bond_correlations(m, 2).astype(np.float64)
     return p.lambda1 * c1 + p.lambda2 * c2
@@ -100,7 +88,7 @@ def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable
         )
     amps = np.exp(logs - logs.max())
     amps /= np.linalg.norm(amps)
-    return AmplitudeTable(m.L, amps, "jastrow", {"lambda1": p.lambda1, "lambda2": p.lambda2})
+    return AmplitudeTable(m.L, amps, "jastrow")
 
 
 def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
@@ -127,12 +115,3 @@ def build_table(kind: str, m: TfiModel, params: JastrowParams | None = None,
             raise ValueError("exact-groundstate tables need the precomputed vector")
         return ground_state_table(m, vector)
     raise ValueError(f"cannot build table of kind {kind!r}")
-
-
-def export_csv(table: AmplitudeTable, path) -> None:
-    """Debug dump: one (state_index, amplitude) row per basis state."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["state_index", "amplitude"])
-        for i, a in enumerate(table.amps):
-            w.writerow([i, repr(float(a))])

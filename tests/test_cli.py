@@ -63,6 +63,16 @@ def test_config_validates_lambda_shift():
         from_dict({"model": {"L": 10}, "gfmc": {"lambda_shift": 5.0}})
 
 
+def test_config_rejects_unknown_output_format():
+    assert from_dict({"output": {"formats": ["json"]}}).formats == ["json"]
+    with pytest.raises(ConfigError, match="output.formats"):
+        from_dict({"output": {"formats": ["cvs"]}})
+    cfg = RunConfig()
+    cfg.formats = ["csv", "xml"]
+    with pytest.raises(ConfigError, match="output.formats"):
+        cfg.validate()
+
+
 def test_config_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

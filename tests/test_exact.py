@@ -72,6 +72,17 @@ def test_apply_hamiltonian_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
+def test_apply_hamiltonian_matches_dense_oracle(L, J, Gamma):
+    # covers L = 2, where the periodic sum counts the single bond twice
+    m = TfiModel(L, J=J, Gamma=Gamma)
+    H = dense_hamiltonian(L, J, Gamma)
+    rng = np.random.default_rng(L)
+    for v in (rng.normal(size=1 << L), np.eye(1 << L)[(1 << L) - 2]):
+        assert np.allclose(apply_hamiltonian(v, m), H @ v, rtol=0, atol=1e-12)
+
+
 def test_apply_hamiltonian_on_eigenvector():
     m = TfiModel(6)
     gs = ground_state(m)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,23 +9,20 @@ from shotgfmc.gfmc import (
     _WINDOW_RECOMPUTE_EVERY,
     ChainRecord,
     GfmcConfig,
-    UndefinedLocalEnergyError,
     _draw_initial_state,
     auto_lambda_shift,
     average_local_energy,
-    green_row,
-    local_energy,
     local_energy_table,
     reweighted_energy,
     run_chain,
-    transition_step,
 )
-from shotgfmc.model import TfiModel
+from shotgfmc.model import TfiModel, all_diagonal_energies
 from shotgfmc.shots import ShotCounts, noisy_amplitudes, sample_counts
 from shotgfmc.trial import AmplitudeTable, build_table
 
 from oracles import (
     chain_fill_scalar,
+    dense_hamiltonian,
     jastrow_amp_direct,
     local_energy_direct,
     sliding_window_sums_scalar,
@@ -37,127 +36,136 @@ def _noisy_table(L, M, seed):
     return noisy_amplitudes(sample_counts(p, M, np.random.default_rng(seed)))
 
 
+def _one_chain(cfg, t, m, seed):
+    return run_chain(cfg, [t], m, [np.random.default_rng(seed)])[0]
+
+
+def _oracle_propagator(t, m, lam):
+    """Dense (lam - H)_ij psi_j / psi_i and its row sums b_i.
+
+    Rows of states outside the support are undefined and never read.
+    """
+    A = lam * np.eye(m.n_states) - dense_hamiltonian(m.L, m.J, m.Gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = A * t.amps[None, :] / t.amps[:, None]
+    return A, A.sum(axis=1)
+
+
+def _transition_counts(states, n_states):
+    """counts[i, j] of steps i -> j over every walker's record (rows)."""
+    pairs = states[:, :-1] * n_states + states[:, 1:]
+    return np.bincount(pairs.ravel(), minlength=n_states * n_states).reshape(
+        n_states, n_states)
+
+
 def test_local_energy_uniform_allup_l4():
     m = TfiModel(4)
-    t = build_table("uniform", m)
-    assert local_energy(0, t, m) == pytest.approx(-8.0, abs=1e-12)
+    e, _ = local_energy_table(build_table("uniform", m), m)
+    assert e[0] == pytest.approx(-8.0, abs=1e-12)
 
 
 def test_local_energy_zero_variance():
     m = TfiModel(6)
     gs = ground_state(m)
     t = build_table("exact-groundstate", m, vector=gs.vector)
-    for x in (0, 5, 33, 63):
-        assert local_energy(x, t, m) == pytest.approx(gs.energy, abs=1e-9)
+    e, defined = local_energy_table(t, m)
+    assert defined.all()
+    assert np.allclose(e, gs.energy, rtol=0, atol=1e-9)
 
 
 def test_local_energy_matches_direct_oracle():
     m = TfiModel(6)
-    t = build_table("jastrow", m)
+    e, _ = local_energy_table(build_table("jastrow", m), m)
     raw = np.array([jastrow_amp_direct(x, 6, 0.233, 0.083) for x in range(64)])
     raw /= np.linalg.norm(raw)
-    rng = np.random.default_rng(17)
-    for x in [0, *rng.integers(0, 64, size=12)]:
-        ref = local_energy_direct(int(x), raw, 6, 1.0, 1.0)
-        assert local_energy(int(x), t, m) == pytest.approx(ref, rel=1e-12)
-
-
-def test_local_energy_zero_amplitude_raises():
-    m = TfiModel(3)
-    counts = np.zeros(8, dtype=np.int64)
-    counts[1] = 7
-    t = noisy_amplitudes(ShotCounts(3, 7, counts))
-    with pytest.raises(UndefinedLocalEnergyError):
-        local_energy(0, t, m)
+    for x in range(64):
+        assert e[x] == pytest.approx(local_energy_direct(x, raw, 6, 1.0, 1.0), rel=1e-12)
 
 
 def test_local_energy_table_matches_single():
     m = TfiModel(5)
     t = _noisy_table(5, 200, 4)
     e, defined = local_energy_table(t, m)
+    assert np.array_equal(defined, t.amps > 0)
+    assert 0 < defined.sum() < 32
     for x in range(32):
         if defined[x]:
-            assert e[x] == pytest.approx(local_energy(x, t, m), rel=1e-12)
+            assert e[x] == pytest.approx(local_energy_direct(x, t.amps, 5, 1.0, 1.0),
+                                         rel=1e-12)
         else:
             assert np.isnan(e[x])
 
 
 def test_green_row_uniform_example():
+    # uniform table, lam = 8: stay weight 8 - E_diag(x), each flip weight 1,
+    # so b = 16 at the all-up state
     m = TfiModel(4)
-    t = build_table("uniform", m)
-    weights, b = green_row(0, t, m, lam=8.0)
-    assert np.allclose(weights, [12.0, 1.0, 1.0, 1.0, 1.0], atol=1e-12)
-    assert b == pytest.approx(16.0, abs=1e-12)
+    cfg = GfmcConfig(lambda_shift=8.0, chain_length=2000, warmup=0, l_reweight=10)
+    rec = _one_chain(cfg, build_table("uniform", m), m, 0)
+    assert np.any(rec.states == 0)
+    assert np.all(rec.b_values[rec.states == 0] == 16.0)
+    assert np.array_equal(rec.b_values, 12.0 - all_diagonal_energies(m)[rec.states])
 
 
 def test_green_row_identity_b_equals_lam_minus_eloc():
     m = TfiModel(6)
     lam = auto_lambda_shift(m)
-    rng = np.random.default_rng(3)
-    for t in (build_table("jastrow", m), _noisy_table(6, 640, 8)):
-        support = np.flatnonzero(t.amps > 0)
-        for x in rng.choice(support, size=15):
-            _, b = green_row(int(x), t, m, lam)
-            assert b == pytest.approx(lam - local_energy(int(x), t, m), abs=1e-10)
+    cfg = GfmcConfig(chain_length=3000, warmup=10, l_reweight=20)
+    for seed, t in enumerate((build_table("jastrow", m), _noisy_table(6, 640, 8))):
+        rec = _one_chain(cfg, t, m, seed)
+        for x in np.unique(rec.states):
+            eloc = local_energy_direct(int(x), t.amps, 6, 1.0, 1.0)
+            assert np.allclose(rec.b_values[rec.states == x], lam - eloc, rtol=0, atol=1e-10)
 
 
 def test_green_row_zero_amplitude_neighbor_gets_zero_weight():
+    # recorded b equals the oracle row sum, in which zero-amplitude
+    # neighbors contribute nothing, and no step lands on one
     m = TfiModel(4)
     t = _noisy_table(4, 12, 5)
-    support = np.flatnonzero(t.amps > 0)
-    x = int(support[0])
-    weights, _ = green_row(x, t, m, auto_lambda_shift(m))
-    for k in range(4):
-        if t.amps[x ^ (1 << k)] == 0.0:
-            assert weights[k + 1] == 0.0
+    lam = auto_lambda_shift(m)
+    cfg = GfmcConfig(chain_length=3000, warmup=0, l_reweight=20)
+    rec = _one_chain(cfg, t, m, 5)
+    _, b = _oracle_propagator(t, m, lam)
+    assert np.all(t.amps[rec.states] > 0)
+    assert np.allclose(rec.b_values, b[rec.states], rtol=1e-12, atol=0)
+    flips = rec.states[:, None] ^ (1 << np.arange(4))
+    assert np.any(t.amps[flips] == 0.0)
 
 
 def test_green_row_rejects_small_lambda():
     m = TfiModel(4)
-    t = build_table("uniform", m)
-    with pytest.raises(ValueError):
-        green_row(0, t, m, lam=4.0)  # == L*J, not strictly above
+    cfg = GfmcConfig(lambda_shift=4.0, chain_length=500, warmup=10, l_reweight=20)
+    with pytest.raises(ValueError):  # == L*J, not strictly above
+        _one_chain(cfg, build_table("uniform", m), m, 0)
 
 
 def test_transition_probabilities_normalized():
+    # the oracle row divided by the recorded b is a probability vector
     m = TfiModel(6)
     t = build_table("jastrow", m)
-    lam = auto_lambda_shift(m)
-    rng = np.random.default_rng(1)
-    for x in rng.integers(0, 64, size=10):
-        weights, b = green_row(int(x), t, m, lam)
-        assert float(weights.sum() / b) == pytest.approx(1.0, abs=1e-12)
+    cfg = GfmcConfig(chain_length=2000, warmup=0, l_reweight=20)
+    rec = _one_chain(cfg, t, m, 1)
+    A, _ = _oracle_propagator(t, m, rec.lambda_shift)
+    rows = A[rec.states] / rec.b_values[:, None]
+    assert np.all(rows >= 0)
+    assert np.allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_transition_stay_probability_uniform_l4():
+    # uniform table, lam = 8: stay probability (8 - E_diag(x)) / (12 - E_diag(x)),
+    # 12/16 at the all-up state; 5-sigma binomial window per state
     m = TfiModel(4)
+    cfg = GfmcConfig(lambda_shift=8.0, chain_length=5000, warmup=0, l_reweight=10)
     t = build_table("uniform", m)
-    rng = np.random.default_rng(0)
-    n = 100_000
-    stays = sum(transition_step(0, t, m, 8.0, rng) == 0 for _ in range(n))
-    # stay prob 12/16, 5-sigma binomial window
-    sigma = np.sqrt(n * 0.75 * 0.25)
-    assert abs(stays - 0.75 * n) <= 5 * sigma
-
-
-def test_transition_empirical_frequencies():
-    m = TfiModel(4)
-    t = build_table("jastrow", m)
-    lam = auto_lambda_shift(m)
-    x = 3
-    weights, b = green_row(x, t, m, lam)
-    probs = weights / b
-    rng = np.random.default_rng(2)
-    n = 1_000_000
-    counts = {}
-    for _ in range(n):
-        y = transition_step(x, t, m, lam, rng)
-        counts[y] = counts.get(y, 0) + 1
-    targets = [x] + [x ^ (1 << k) for k in range(4)]
-    for i, y in enumerate(targets):
-        expected = n * probs[i]
-        sigma = np.sqrt(n * probs[i] * (1 - probs[i]))
-        assert abs(counts.get(y, 0) - expected) <= 5 * sigma
+    recs = run_chain(cfg, [t] * 32, m, [np.random.default_rng(w) for w in range(32)])
+    counts = _transition_counts(np.stack([r.states for r in recs]), m.n_states)
+    diag = all_diagonal_energies(m)
+    p = (8.0 - diag) / (12.0 - diag)
+    assert p[0] == 0.75
+    n = counts.sum(axis=1)
+    stays = np.diag(counts)
+    assert np.all(np.abs(stays - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
 def test_config_invariants():
@@ -178,31 +186,31 @@ def test_run_chain_zero_variance():
     m = TfiModel(6)
     gs = ground_state(m)
     t = build_table("exact-groundstate", m, vector=gs.vector)
-    cfg = GfmcConfig(chain_length=5000, warmup=100, l_reweight=50, seed=7)
-    rec = run_chain(cfg, t, m)
+    cfg = GfmcConfig(chain_length=5000, warmup=100, l_reweight=50)
+    rec = _one_chain(cfg, t, m, 7)
     assert np.allclose(rec.e_values, gs.energy, atol=1e-9)
-    assert reweighted_energy(rec).estimate == pytest.approx(gs.energy, abs=1e-9)
+    assert reweighted_energy(rec) == pytest.approx(gs.energy, abs=1e-9)
     assert average_local_energy(rec) == pytest.approx(gs.energy, abs=1e-9)
 
 
 def test_run_chain_identity_e_equals_lam_minus_b():
     m = TfiModel(5)
     t = build_table("jastrow", m)
-    cfg = GfmcConfig(chain_length=2000, warmup=10, l_reweight=20, seed=1)
-    rec = run_chain(cfg, t, m)
+    cfg = GfmcConfig(chain_length=2000, warmup=10, l_reweight=20)
+    rec = _one_chain(cfg, t, m, 1)
     assert np.array_equal(rec.e_values, rec.lambda_shift - rec.b_values)
-    # recorded b matches the row sums recomputed off-chain
+    # recorded b matches the row sums of the dense oracle propagator
+    _, b = _oracle_propagator(t, m, rec.lambda_shift)
     for n in (0, 100, 1500):
-        _, b = green_row(int(rec.states[n]), t, m, rec.lambda_shift)
-        assert rec.b_values[n] == pytest.approx(b, abs=1e-10)
+        assert rec.b_values[n] == pytest.approx(b[rec.states[n]], abs=1e-10)
 
 
 def test_run_chain_determinism():
     m = TfiModel(6)
     t = build_table("jastrow", m)
-    cfg = GfmcConfig(chain_length=4000, warmup=50, l_reweight=30, seed=123)
-    a = run_chain(cfg, t, m)
-    b = run_chain(cfg, t, m)
+    cfg = GfmcConfig(chain_length=4000, warmup=50, l_reweight=30)
+    a = _one_chain(cfg, t, m, 123)
+    b = _one_chain(cfg, t, m, 123)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.b_values, b.b_values)
 
@@ -210,8 +218,8 @@ def test_run_chain_determinism():
 def test_run_chain_reachability_respects_support():
     m = TfiModel(6)
     t = _noisy_table(6, 120, 9)
-    cfg = GfmcConfig(chain_length=20_000, warmup=100, l_reweight=50, seed=5)
-    rec = run_chain(cfg, t, m)
+    cfg = GfmcConfig(chain_length=20_000, warmup=100, l_reweight=50)
+    rec = _one_chain(cfg, t, m, 5)
     visited = np.unique(rec.states)
     assert np.all(t.amps[visited] > 0)
 
@@ -266,7 +274,7 @@ def test_population_width_does_not_change_records():
     cfg = GfmcConfig(chain_length=1500, warmup=10, l_reweight=20)
     together = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in (1, 2, 3)])
     for t, seed, rec in zip(tables, (1, 2, 3), together):
-        alone = run_chain(cfg, t, m, np.random.default_rng(seed))
+        alone = _one_chain(cfg, t, m, seed)
         assert alone.states.tobytes() == rec.states.tobytes()
         assert alone.b_values.tobytes() == rec.b_values.tobytes()
         assert alone.e_values.tobytes() == rec.e_values.tobytes()
@@ -342,21 +350,21 @@ def test_sliding_window_sums_match_scalar_loop():
 def test_reweighted_constant_energy_identity():
     rng = np.random.default_rng(0)
     b = rng.uniform(5.0, 9.0, size=500)
-    cfg = GfmcConfig(chain_length=600, warmup=50, l_reweight=100, seed=0)
+    cfg = GfmcConfig(chain_length=600, warmup=50, l_reweight=100)
     rec = ChainRecord(np.zeros(500, dtype=np.int64), b, np.full(500, -3.7),
-                      cfg, 10.0, "uniform")
+                      cfg, 10.0)
     est = reweighted_energy(rec, 100)
-    assert est.estimate == pytest.approx(-3.7, rel=1e-12)
+    assert est == pytest.approx(-3.7, rel=1e-12)
 
 
 def test_reweighted_equal_b_reduces_to_plain_mean():
     rng = np.random.default_rng(1)
     e = rng.normal(-5.0, 0.3, size=400)
     b = np.full(400, 7.25)
-    cfg = GfmcConfig(chain_length=500, warmup=50, l_reweight=100, seed=0)
-    rec = ChainRecord(np.zeros(400, dtype=np.int64), b, e, cfg, 10.0, "uniform")
+    cfg = GfmcConfig(chain_length=500, warmup=50, l_reweight=100)
+    rec = ChainRecord(np.zeros(400, dtype=np.int64), b, e, cfg, 10.0)
     est = reweighted_energy(rec, 100)
-    assert est.estimate == float(np.mean(e[100:]))
+    assert est == float(np.mean(e[100:]))
 
 
 def test_reweighted_window_sums_match_bruteforce():
@@ -364,28 +372,28 @@ def test_reweighted_window_sums_match_bruteforce():
     rng = np.random.default_rng(2)
     b = rng.uniform(4.0, 12.0, size=25_000)
     e = rng.normal(size=25_000)
-    cfg = GfmcConfig(chain_length=26_000, warmup=100, l_reweight=100, seed=0)
-    rec = ChainRecord(np.zeros(25_000, dtype=np.int64), b, e, cfg, 16.0, "uniform")
+    cfg = GfmcConfig(chain_length=26_000, warmup=100, l_reweight=100)
+    rec = ChainRecord(np.zeros(25_000, dtype=np.int64), b, e, cfg, 16.0)
     est = reweighted_energy(rec, 100)
     logb = np.log(b)
     sums = np.convolve(logb, np.ones(100), mode="valid")[: 25_000 - 100]
     g = np.exp(sums - sums.max())
     ref = float(np.sum(g * e[100:]) / np.sum(g))
-    assert est.estimate == pytest.approx(ref, rel=1e-9)
+    assert est == pytest.approx(ref, rel=1e-9)
 
 
 def test_reweighted_record_too_short():
-    cfg = GfmcConfig(chain_length=300, warmup=100, l_reweight=100, seed=0)
+    cfg = GfmcConfig(chain_length=300, warmup=100, l_reweight=100)
     rec = ChainRecord(np.zeros(50, dtype=np.int64), np.full(50, 2.0),
-                      np.full(50, 1.0), cfg, 3.0, "uniform")
+                      np.full(50, 1.0), cfg, 3.0)
     with pytest.raises(ValueError):
         reweighted_energy(rec, 100)
 
 
 def test_average_local_energy_trivial():
-    cfg = GfmcConfig(chain_length=300, warmup=10, l_reweight=50, seed=0)
+    cfg = GfmcConfig(chain_length=300, warmup=10, l_reweight=50)
     rec = ChainRecord(np.zeros(4, dtype=np.int64), np.full(4, 2.0),
-                      np.array([1.0, 2.0, 3.0, 4.0]), cfg, 3.0, "uniform")
+                      np.array([1.0, 2.0, 3.0, 4.0]), cfg, 3.0)
     assert average_local_energy(rec) == 2.5
 
 
@@ -395,24 +403,42 @@ def test_noiseless_gfmc_converges_to_e0():
     e0 = ground_state(m).energy / 6
     cfg = GfmcConfig(chain_length=30_000, warmup=500, l_reweight=100)
     rngs = [np.random.default_rng(100 + rep) for rep in range(8)]
-    ests = np.array([reweighted_energy(rec).estimate / 6
+    ests = np.array([reweighted_energy(rec) / 6
                      for rec in run_chain(cfg, [t] * 8, m, rngs)])
     se = ests.std(ddof=1) / np.sqrt(len(ests))
     assert abs(ests.mean() - e0) <= 4 * se
 
 
-@pytest.mark.parametrize("L", [3, 4])
-def test_visit_frequencies_match_stationary_oracle(L):
+@functools.lru_cache(maxsize=None)
+def _stationary_run(L):
+    """64 Jastrow walkers x 15,625 recorded steps (1M samples) at size L."""
     m = TfiModel(L)
     t = build_table("jastrow", m)
-    lam = auto_lambda_shift(m)
+    cfg = GfmcConfig(chain_length=15_625 + 1000, warmup=1000, l_reweight=100)
+    recs = run_chain(cfg, [t] * 64, m, [np.random.default_rng(31 + w) for w in range(64)])
+    return m, t, recs[0].lambda_shift, np.stack([r.states for r in recs])
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_visit_frequencies_match_stationary_oracle(L):
+    m, t, lam, states = _stationary_run(L)
     pi = stationary_distribution(t.amps, L, 1.0, 1.0, lam)
-    n = 1_000_000
-    cfg = GfmcConfig(chain_length=n + 1000, warmup=1000, l_reweight=100, seed=31)
-    rec = run_chain(cfg, t, m)
-    freq = np.bincount(rec.states, minlength=1 << L) / n
-    # blocked standard errors absorb the chain autocorrelation
-    blocks = rec.states.reshape(200, -1)
-    bf = np.stack([np.bincount(blk, minlength=1 << L) / blk.size for blk in blocks])
-    se = bf.std(axis=0, ddof=1) / np.sqrt(200)
+    freq = np.bincount(states.ravel(), minlength=1 << L) / states.size
+    # each walker is one block; blocked standard errors absorb the chain
+    # autocorrelation
+    bf = np.stack([np.bincount(row, minlength=1 << L) / row.size for row in states])
+    se = bf.std(axis=0, ddof=1) / np.sqrt(len(states))
     assert np.all(np.abs(freq - pi) <= 5 * np.maximum(se, 1e-6))
+
+
+def test_transition_empirical_frequencies():
+    # one-step law from the stationary runs: counts out of every state
+    # against the dense-oracle propagator row, 5 binomial sigma per entry
+    for L in (3, 4):
+        m, t, lam, states = _stationary_run(L)
+        A, b = _oracle_propagator(t, m, lam)
+        P = A / b[:, None]
+        counts = _transition_counts(states, m.n_states)
+        n = counts.sum(axis=1, keepdims=True)
+        assert np.all(n > 0)
+        assert np.all(np.abs(counts - n * P) <= 5 * np.sqrt(n * P * (1 - P)))

@@ -1,36 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
-from shotgfmc.model import (
-    TfiModel,
-    all_diagonal_energies,
-    bond_correlations,
-    connected_set,
-    diagonal_energy,
-    flip,
-    spin_value,
-)
+from shotgfmc.exact import apply_hamiltonian
+from shotgfmc.model import TfiModel, all_diagonal_energies, bond_correlations
 
 from oracles import dense_hamiltonian, spin
 
 
-def test_spin_value_examples():
-    m = TfiModel(4)
-    assert spin_value(0b0000, 2, m) == 1
-    assert spin_value(0b0100, 2, m) == -1
-    assert spin_value(0b0100, 1, m) == 1
-
-
-def test_spin_value_rejects_bad_site():
-    m = TfiModel(4)
-    with pytest.raises(ValueError):
-        spin_value(0, 4, m)
-    with pytest.raises(ValueError):
-        spin_value(0, -1, m)
-    with pytest.raises(ValueError):
-        spin_value(1 << 4, 0, m)
+def _column(x: int, m: TfiModel) -> np.ndarray:
+    """H applied to the basis vector of configuration x."""
+    v = np.zeros(m.n_states)
+    v[x] = 1.0
+    return apply_hamiltonian(v, m)
 
 
 def test_model_invariants():
@@ -45,65 +26,51 @@ def test_model_invariants():
 
 
 def test_diagonal_energy_examples():
-    m = TfiModel(4, J=1.0)
-    assert diagonal_energy(0b0000, m) == -4.0
-    assert diagonal_energy(0b0101, m) == 4.0
-    assert diagonal_energy(0b0011, m) == 0.0
+    e = all_diagonal_energies(TfiModel(4, J=1.0))
+    assert e[0b0000] == -4.0
+    assert e[0b0101] == 4.0
+    assert e[0b0011] == 0.0
 
 
 def test_diagonal_energy_matches_dense_oracle():
     for L in (2, 3, 4):
         m = TfiModel(L, J=0.7, Gamma=1.3)
         ref = np.diag(dense_hamiltonian(L, 0.7, 1.3))
-        got = all_diagonal_energies(m)
-        assert np.allclose(got, ref, atol=1e-12)
-        for x in range(1 << L):
-            assert diagonal_energy(x, m) == pytest.approx(ref[x], abs=1e-12)
+        assert np.allclose(all_diagonal_energies(m), ref, atol=1e-12)
 
 
 def test_connected_set_example_l3():
+    # H|000> = -3|000> - (|001> + |010> + |100>)
     m = TfiModel(3, J=1.0, Gamma=1.0)
-    assert connected_set(0, m) == [(0, -3.0), (1, -1.0), (2, -1.0), (4, -1.0)]
+    assert np.array_equal(_column(0, m), [-3.0, -1.0, -1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
 
 
 def test_connected_set_shape():
+    # H connects x to itself and to its L single flips, each with -Gamma
     rng = np.random.default_rng(11)
     for L in (2, 5, 9):
         m = TfiModel(L, Gamma=0.37)
+        diag = all_diagonal_energies(m)
         for x in rng.integers(0, 1 << L, size=20):
-            cs = connected_set(int(x), m)
-            assert len(cs) == L + 1
-            assert len({s for s, _ in cs}) == L + 1
-            assert cs[0][0] == x
-            # flips in ascending site order
-            assert [s for s, _ in cs[1:]] == [int(x) ^ (1 << k) for k in range(L)]
-            assert all(h == -m.Gamma for _, h in cs[1:])
-
-
-def test_connected_set_gamma_zero_emits_negative_zero():
-    m = TfiModel(3, Gamma=0.0)
-    cs = connected_set(0, m)
-    assert len(cs) == 4
-    for _, h in cs[1:]:
-        assert h == 0.0
-        assert math.copysign(1.0, h) == -1.0
+            col = _column(int(x), m)
+            flips = [int(x) ^ (1 << k) for k in range(L)]
+            assert set(np.flatnonzero(col)) <= {int(x), *flips}
+            assert col[int(x)] == diag[x]
+            assert np.all(col[flips] == -m.Gamma)
 
 
 def test_matrix_element_symmetry():
-    # h(x -> x') == h(x' -> x) for every flip pair
+    # h(x -> x') == h(x' -> x) for every pair
     m = TfiModel(6, Gamma=0.8)
-    rng = np.random.default_rng(3)
-    for x in rng.integers(0, 1 << 6, size=25):
-        for xp, h in connected_set(int(x), m)[1:]:
-            back = dict(connected_set(xp, m)[1:])
-            assert back[int(x)] == h
+    H = np.stack([_column(x, m) for x in range(m.n_states)], axis=1)
+    assert np.array_equal(H, H.T)
 
 
 def test_global_flip_symmetry():
     m = TfiModel(7, J=1.9)
-    rng = np.random.default_rng(4)
-    for x in rng.integers(0, 1 << 7, size=50):
-        assert diagonal_energy(int(x), m) == diagonal_energy(int(~x) & m.mask, m)
+    e = all_diagonal_energies(m)
+    idx = np.arange(m.n_states)
+    assert np.array_equal(e, e[~idx & m.mask])
 
 
 def test_bond_correlations_against_direct_loop():
@@ -114,13 +81,3 @@ def test_bond_correlations_against_direct_loop():
             for x in range(32)
         ]
         assert np.array_equal(bond_correlations(m, offset), np.array(ref))
-
-
-def test_flip_involution():
-    m = TfiModel(6)
-    rng = np.random.default_rng(5)
-    for x in rng.integers(0, 1 << 6, size=20):
-        for k in range(6):
-            y = flip(int(x), k, m)
-            assert y != x
-            assert flip(y, k, m) == x
