@@ -4,7 +4,8 @@ Subcommands map onto the pipeline stages: ``ed`` (exact ground state),
 ``scan`` (full-basis local-energy fluctuations under shot noise),
 ``gfmc`` (chains + estimators for one size), ``sweep`` (the (L, M) grid
 with fits) and ``extrapolate`` (shot count and wall time at a target
-size). Flags override config-file values; every output directory gets a
+size). Flags override config-file values (each flag's argparse dest is
+the ``RunConfig`` field it sets); every output directory gets a
 run_manifest.json that pins config hash, seed and versions, so a run can
 be reproduced byte for byte (the manifest's own timestamp and wall time
 are the only non-deterministic fields anywhere).
@@ -17,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,6 +35,8 @@ from .gfmc import (
 )
 from .model import TfiModel
 from .scaling import (
+    ESTIMATORS,
+    TRIAL_KINDS,
     run_sweep,
     runtime_for_shots,
     extrapolate_runtime,
@@ -66,7 +70,7 @@ def _versions() -> dict:
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list,
-                    wall_time: float) -> str:
+                    wall_time: float) -> None:
     cfg_dict = cfg.to_dict()
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
@@ -79,42 +83,23 @@ def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list,
         "wall_time_s": wall_time,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    path = os.path.join(out_dir, "run_manifest.json")
+    _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+
+
+def _write_json(path: str, obj: dict) -> None:
     with open(path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+        json.dump(obj, f, indent=1, sort_keys=True)
         f.write("\n")
-    return path
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig().validate()
-    if getattr(args, "seed", None) is not None:
-        cfg.base_seed = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    return cfg
-
-
-def _override(cfg: RunConfig, args, mapping: dict) -> RunConfig:
-    for attr, flag in mapping.items():
-        value = getattr(args, flag, None)
+    """The config file (or the defaults) with every flag given on top."""
+    cfg = parse_config(args.config) if args.config else RunConfig()
+    for setting in fields(RunConfig):
+        value = getattr(args, setting.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, setting.name, value)
     return cfg.validate()
-
-
-def _parse_int_list(text: str, what: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a comma-separated integer list: {text!r}") from exc
-
-
-def _parse_float_list(text: str, what: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a comma-separated number list: {text!r}") from exc
 
 
 def _gfmc_config(cfg: RunConfig) -> GfmcConfig:
@@ -132,9 +117,6 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_ed(args) -> int:
     cfg = _load_config(args)
-    if args.L is not None:
-        cfg.L_list = [args.L]
-    cfg = _override(cfg, args, {"J": "J", "Gamma": "Gamma"})
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     gs = ground_state(m, tol=args.tol)
@@ -150,21 +132,13 @@ def _cmd_ed(args) -> int:
     _print_json(payload)
     if args.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "ed.json")
-        with open(path, "w") as f:
-            json.dump({"schema_version": "ed.v1", **payload}, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(os.path.join(cfg.out_dir, "ed.json"), {"schema_version": "ed.v1", **payload})
         _write_manifest(cfg.out_dir, "ed", cfg, ["ed.json"], time.perf_counter() - t0)
     return 0
 
 
 def _cmd_scan(args) -> int:
     cfg = _load_config(args)
-    if args.L is not None:
-        cfg.L_list = [args.L]
-    cfg = _override(cfg, args, {"trial_kind": "trial", "lambda1": "lambda1",
-                                "lambda2": "lambda2", "M0": "M0",
-                                "replicates": "reps"})
     t0 = time.perf_counter()
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
@@ -191,14 +165,6 @@ def _build_trial(cfg: RunConfig, m: TfiModel):
 
 def _cmd_gfmc(args) -> int:
     cfg = _load_config(args)
-    if args.L is not None:
-        cfg.L_list = [args.L]
-    cfg = _override(cfg, args, {"trial_kind": "trial", "chain_length": "chain_length",
-                                "warmup": "warmup", "l_reweight": "l_reweight",
-                                "replicates": "replicates"})
-    if args.lambda_shift is not None:
-        cfg.lambda_shift = args.lambda_shift
-        cfg.validate()
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     trial, gs = _build_trial(cfg, m)
@@ -248,10 +214,8 @@ def _cmd_gfmc(args) -> int:
     if args.out_dir or args.dump_chain:
         os.makedirs(cfg.out_dir, exist_ok=True)
         outputs = ["gfmc_result.json"]
-        with open(os.path.join(cfg.out_dir, "gfmc_result.json"), "w") as f:
-            json.dump({"schema_version": "gfmc_result.v1", **payload}, f,
-                      indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(os.path.join(cfg.out_dir, "gfmc_result.json"),
+                    {"schema_version": "gfmc_result.v1", **payload})
         for rep, record in enumerate(chain_rows):
             name = f"chain_{rep}.csv"
             with open(os.path.join(cfg.out_dir, name), "w") as f:
@@ -267,19 +231,6 @@ def _cmd_gfmc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if args.L is not None:
-        cfg.L_list = _parse_int_list(args.L, "--L")
-    if args.M is not None:
-        cfg.M_list = _parse_int_list(args.M, "--M")
-    if args.targets is not None:
-        cfg.targets = _parse_float_list(args.targets, "--targets")
-    if args.window is not None:
-        cfg.fit_window = _parse_float_list(args.window, "--window")
-    cfg = _override(cfg, args, {"trial_kind": "trial", "replicates": "replicates",
-                                "chain_length": "chain_length",
-                                "crossing_band": "band",
-                                "crossing_method": "crossing_method",
-                                "estimator": "estimator"})
     t0 = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     cache_path = os.path.join(cfg.out_dir, "e0_cache.json")
@@ -304,9 +255,7 @@ def _cmd_sweep(args) -> int:
         "tool_version": __version__,
     }
     if "json" in cfg.formats:
-        with open(os.path.join(cfg.out_dir, "scaling_summary.json"), "w") as f:
-            json.dump(summary, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(os.path.join(cfg.out_dir, "scaling_summary.json"), summary)
         outputs.append("scaling_summary.json")
     outputs.append("e0_cache.json")
     _write_manifest(cfg.out_dir, "sweep", cfg, outputs, time.perf_counter() - t0)
@@ -336,10 +285,8 @@ def _cmd_extrapolate(args) -> int:
     if args.out_dir:
         cfg = _load_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "extrapolate.json"), "w") as f:
-            json.dump({"schema_version": "extrapolate.v1", **payload}, f,
-                      indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(os.path.join(cfg.out_dir, "extrapolate.json"),
+                    {"schema_version": "extrapolate.v1", **payload})
         _write_manifest(cfg.out_dir, "extrapolate", cfg, ["extrapolate.json"],
                         time.perf_counter() - t0)
     return 0
@@ -348,12 +295,25 @@ def _cmd_extrapolate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _comma_list(convert):
+    """argparse type for a comma list such as ``6,8,10``; empty items are skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be a comma-separated {convert.__name__} list: {text!r}") from None
+    return parse
+
+
 def _add_common(sp) -> None:
     sp.add_argument("--config", help="JSON config file (flags override it)")
-    sp.add_argument("--seed", type=int, help="base seed (overrides config)")
+    sp.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                    help="base seed (overrides config)")
     sp.add_argument("--out-dir", help="output directory")
     sp.add_argument("--threads", type=int,
-                    help="worker process cap (default: all cores)")
+                    help="worker process cap for sweep (default: all cores); "
+                         "the other subcommands accept and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ed = sub.add_parser("ed", help="exact ground state via Lanczos")
-    ed.add_argument("--L", type=int)
+    ed.add_argument("--L", type=int, nargs=1, dest="L_list", metavar="L")
     ed.add_argument("--J", type=float)
     ed.add_argument("--Gamma", type=float)
     ed.add_argument("--tol", type=float, default=1e-10)
@@ -374,41 +334,46 @@ def build_parser() -> argparse.ArgumentParser:
     ed.set_defaults(handler=_cmd_ed)
 
     scan = sub.add_parser("scan", help="full-basis local-energy scan under shot noise")
-    scan.add_argument("--L", type=int)
+    scan.add_argument("--L", type=int, nargs=1, dest="L_list", metavar="L")
     scan.add_argument("--M0", type=int, help="shots per basis state; M = M0 * 2^L")
-    scan.add_argument("--reps", type=int, help="independent measurement realizations")
-    scan.add_argument("--trial", choices=("jastrow", "exact-groundstate"))
+    scan.add_argument("--reps", type=int, dest="replicates", metavar="REPS",
+                      help="independent measurement realizations")
+    scan.add_argument("--trial", choices=TRIAL_KINDS, dest="trial_kind")
     scan.add_argument("--lambda1", type=float)
     scan.add_argument("--lambda2", type=float)
     _add_common(scan)
     scan.set_defaults(handler=_cmd_scan)
 
     gf = sub.add_parser("gfmc", help="run chains and estimate the energy")
-    gf.add_argument("--L", type=int)
-    gf.add_argument("--trial", choices=("jastrow", "exact-groundstate"))
+    gf.add_argument("--L", type=int, nargs=1, dest="L_list", metavar="L")
+    gf.add_argument("--trial", choices=TRIAL_KINDS, dest="trial_kind")
     gf.add_argument("--M", type=int, help="shot budget; omit for noiseless amplitudes")
     gf.add_argument("--replicates", type=int)
-    gf.add_argument("--chain-length", type=int, dest="chain_length")
+    gf.add_argument("--chain-length", type=int)
     gf.add_argument("--warmup", type=int)
-    gf.add_argument("--l-reweight", type=int, dest="l_reweight")
-    gf.add_argument("--lambda-shift", type=float, dest="lambda_shift")
+    gf.add_argument("--l-reweight", type=int)
+    gf.add_argument("--lambda-shift", type=float)
     gf.add_argument("--dump-chain", action="store_true",
                     help="also write per-step (n, state, b, e) CSVs")
     _add_common(gf)
     gf.set_defaults(handler=_cmd_gfmc)
 
     sw = sub.add_parser("sweep", help="(L, M) sweep with scaling fits")
-    sw.add_argument("--L", help="comma list of sizes, e.g. 6,8,10,12")
-    sw.add_argument("--M", help="comma list of shot budgets (default: per-L geometric grid)")
-    sw.add_argument("--trial", choices=("jastrow", "exact-groundstate"))
+    sw.add_argument("--L", type=_comma_list(int), dest="L_list", metavar="L",
+                    help="comma list of sizes, e.g. 6,8,10,12")
+    sw.add_argument("--M", type=_comma_list(int), dest="M_list", metavar="M",
+                    help="comma list of shot budgets (default: per-L geometric grid)")
+    sw.add_argument("--trial", choices=TRIAL_KINDS, dest="trial_kind")
     sw.add_argument("--replicates", type=int)
-    sw.add_argument("--chain-length", type=int, dest="chain_length")
-    sw.add_argument("--targets", help="comma list of per-site error targets")
-    sw.add_argument("--window", help="prefactor fit window lo,hi")
-    sw.add_argument("--band", type=float, help="crossing fit band factor")
-    sw.add_argument("--crossing-method", choices=("local", "prefactor"),
-                    dest="crossing_method")
-    sw.add_argument("--estimator", choices=("reweighted", "average"))
+    sw.add_argument("--chain-length", type=int)
+    sw.add_argument("--targets", type=_comma_list(float),
+                    help="comma list of per-site error targets")
+    sw.add_argument("--window", type=_comma_list(float), dest="fit_window", metavar="WINDOW",
+                    help="prefactor fit window lo,hi")
+    sw.add_argument("--band", type=float, dest="crossing_band", metavar="BAND",
+                    help="crossing fit band factor")
+    sw.add_argument("--crossing-method", choices=("local", "prefactor"))
+    sw.add_argument("--estimator", choices=ESTIMATORS)
     _add_common(sw)
     sw.set_defaults(handler=_cmd_sweep)
 
@@ -418,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--L", type=int, required=True)
     ex.add_argument("--layers", type=int, default=40,
                     help="circuit depth per shot in gate layers")
-    ex.add_argument("--clock-hz", type=float, default=1e4, dest="clock_hz")
-    ex.add_argument("--reference-shots", type=float, dest="reference_shots",
+    ex.add_argument("--clock-hz", type=float, default=1e4)
+    ex.add_argument("--reference-shots", type=float,
                     help="also report wall time at this explicit shot count")
     _add_common(ex)
     ex.set_defaults(handler=_cmd_extrapolate)

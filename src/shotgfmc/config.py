@@ -1,12 +1,15 @@
 """JSON run configuration: defaults, validation, helpful load errors.
 
-Unknown keys are rejected with their full path so typos never silently
-fall back to a default. CLI flags override file values; the resolved
+Each ``RunConfig`` field declares its config key (``"model.L"``) and the
+parser that checks a file value for it; ``from_dict`` and ``to_dict``
+both walk that one table. Unknown keys are rejected with their full path
+so typos never silently fall back to a default. CLI flags override file
+values (each flag's argparse dest is its field name); the resolved
 dictionary (after both) is what gets hashed into the run manifest.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .gfmc import DEFAULT_CHAIN_LENGTH, DEFAULT_REWEIGHT_WINDOW, DEFAULT_WARMUP
 from .scaling import (
@@ -31,35 +34,74 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _no_unknown_keys(section: dict, known: tuple, path: str) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key: {path}.{key}")
+def _as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _as_real(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_str(value, path: str) -> str:
+    _require(isinstance(value, str), f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _list_of(parse):
+    def parse_list(value, path: str) -> list:
+        _require(isinstance(value, list), f"{path} must be a list")
+        return [parse(v, path) for v in value]
+    return parse_list
+
+
+def _optional(parse):
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _int_or_list(value, path: str) -> list:
+    return _list_of(_as_int)(value if isinstance(value, list) else [value], path)
+
+
+def _auto_or_real(value, path: str):
+    return value if value == "auto" else _as_real(value, path)
+
+
+def _setting(key: str, parse, **default):
+    """A RunConfig field, read from config key ``section.name`` by ``parse``."""
+    return field(metadata={"key": key, "parse": parse}, **default)
 
 
 @dataclass
 class RunConfig:
-    L_list: list = field(default_factory=lambda: [10])
-    J: float = 1.0
-    Gamma: float = 1.0
-    trial_kind: str = "jastrow"
-    lambda1: float = 0.233
-    lambda2: float = 0.083
-    lambda_shift: float | str = "auto"
-    chain_length: int = DEFAULT_CHAIN_LENGTH
-    warmup: int = DEFAULT_WARMUP
-    l_reweight: int = DEFAULT_REWEIGHT_WINDOW
-    M0: int | None = None
-    M_list: list | None = None
-    replicates: int = 16
-    targets: list = field(default_factory=lambda: list(DEFAULT_TARGETS))
-    base_seed: int = DEFAULT_BASE_SEED
-    fit_window: list = field(default_factory=lambda: list(DEFAULT_FIT_WINDOW))
-    crossing_band: float = DEFAULT_CROSSING_BAND
-    crossing_method: str = "local"
-    estimator: str = "reweighted"
-    out_dir: str = "out"
-    formats: list = field(default_factory=lambda: ["csv", "json"])
+    L_list: list = _setting("model.L", _int_or_list, default_factory=lambda: [10])
+    J: float = _setting("model.J", _as_real, default=1.0)
+    Gamma: float = _setting("model.Gamma", _as_real, default=1.0)
+    trial_kind: str = _setting("trial.kind", _as_str, default="jastrow")
+    lambda1: float = _setting("trial.lambda1", _as_real, default=0.233)
+    lambda2: float = _setting("trial.lambda2", _as_real, default=0.083)
+    lambda_shift: float | str = _setting("gfmc.lambda_shift", _auto_or_real, default="auto")
+    chain_length: int = _setting("gfmc.chain_length", _as_int, default=DEFAULT_CHAIN_LENGTH)
+    warmup: int = _setting("gfmc.warmup", _as_int, default=DEFAULT_WARMUP)
+    l_reweight: int = _setting("gfmc.l_reweight", _as_int, default=DEFAULT_REWEIGHT_WINDOW)
+    M0: int | None = _setting("noise.M0", _optional(_as_int), default=None)
+    M_list: list | None = _setting("noise.M", _optional(_list_of(_as_int)), default=None)
+    replicates: int = _setting("experiment.replicates", _as_int, default=16)
+    targets: list = _setting("experiment.targets", _list_of(_as_real),
+                             default_factory=lambda: list(DEFAULT_TARGETS))
+    base_seed: int = _setting("experiment.base_seed", _as_int, default=DEFAULT_BASE_SEED)
+    fit_window: list = _setting("experiment.fit_window", _list_of(_as_real),
+                                default_factory=lambda: list(DEFAULT_FIT_WINDOW))
+    crossing_band: float = _setting("experiment.crossing_band", _as_real,
+                                    default=DEFAULT_CROSSING_BAND)
+    crossing_method: str = _setting("experiment.crossing_method", _as_str, default="local")
+    estimator: str = _setting("experiment.estimator", _as_str, default="reweighted")
+    out_dir: str = _setting("output.directory", _as_str, default="out")
+    formats: list = _setting("output.formats", _list_of(_as_str),
+                             default_factory=lambda: ["csv", "json"])
 
     def validate(self) -> "RunConfig":
         _require(len(self.L_list) >= 1, "model.L must give at least one size")
@@ -99,103 +141,32 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "model": {"L": list(self.L_list), "J": self.J, "Gamma": self.Gamma},
-            "trial": {"kind": self.trial_kind, "lambda1": self.lambda1, "lambda2": self.lambda2},
-            "gfmc": {"lambda_shift": self.lambda_shift, "chain_length": self.chain_length,
-                     "warmup": self.warmup, "l_reweight": self.l_reweight},
-            "noise": {"M0": self.M0, "M": self.M_list},
-            "experiment": {"replicates": self.replicates, "targets": list(self.targets),
-                           "base_seed": self.base_seed, "fit_window": list(self.fit_window),
-                           "crossing_band": self.crossing_band,
-                           "crossing_method": self.crossing_method,
-                           "estimator": self.estimator},
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        out = {}
+        for setting in fields(self):
+            section, key = setting.metadata["key"].split(".")
+            value = getattr(self, setting.name)
+            out.setdefault(section, {})[key] = list(value) if isinstance(value, list) else value
+        return out
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
-def _as_real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
+# config key ("section.name") -> the RunConfig field it sets
+_SETTINGS = {setting.metadata["key"]: setting for setting in fields(RunConfig)}
 
 
 def from_dict(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "configuration root must be a JSON object")
-    _no_unknown_keys(raw, ("model", "trial", "gfmc", "noise", "experiment", "output"), "config")
+    sections = {key.split(".")[0] for key in _SETTINGS}
+    for section in raw:
+        _require(section in sections, f"unknown key: config.{section}")
     cfg = RunConfig()
-
-    model = raw.get("model", {})
-    _no_unknown_keys(model, ("L", "J", "Gamma"), "model")
-    if "L" in model:
-        L = model["L"]
-        cfg.L_list = [_as_int(v, "model.L") for v in L] if isinstance(L, list) else [_as_int(L, "model.L")]
-    if "J" in model:
-        cfg.J = _as_real(model["J"], "model.J")
-    if "Gamma" in model:
-        cfg.Gamma = _as_real(model["Gamma"], "model.Gamma")
-
-    trial = raw.get("trial", {})
-    _no_unknown_keys(trial, ("kind", "lambda1", "lambda2"), "trial")
-    cfg.trial_kind = trial.get("kind", cfg.trial_kind)
-    if "lambda1" in trial:
-        cfg.lambda1 = _as_real(trial["lambda1"], "trial.lambda1")
-    if "lambda2" in trial:
-        cfg.lambda2 = _as_real(trial["lambda2"], "trial.lambda2")
-
-    gfmc = raw.get("gfmc", {})
-    _no_unknown_keys(gfmc, ("lambda_shift", "chain_length", "warmup", "l_reweight"), "gfmc")
-    if "lambda_shift" in gfmc:
-        v = gfmc["lambda_shift"]
-        cfg.lambda_shift = v if v == "auto" else _as_real(v, "gfmc.lambda_shift")
-    if "chain_length" in gfmc:
-        cfg.chain_length = _as_int(gfmc["chain_length"], "gfmc.chain_length")
-    if "warmup" in gfmc:
-        cfg.warmup = _as_int(gfmc["warmup"], "gfmc.warmup")
-    if "l_reweight" in gfmc:
-        cfg.l_reweight = _as_int(gfmc["l_reweight"], "gfmc.l_reweight")
-
-    noise = raw.get("noise", {})
-    _no_unknown_keys(noise, ("M0", "M"), "noise")
-    if "M0" in noise and noise["M0"] is not None:
-        cfg.M0 = _as_int(noise["M0"], "noise.M0")
-    if "M" in noise and noise["M"] is not None:
-        _require(isinstance(noise["M"], list), "noise.M must be a list")
-        cfg.M_list = [_as_int(v, "noise.M") for v in noise["M"]]
-
-    exp = raw.get("experiment", {})
-    _no_unknown_keys(exp, ("replicates", "targets", "base_seed", "fit_window",
-                           "crossing_band", "crossing_method", "estimator"), "experiment")
-    if "replicates" in exp:
-        cfg.replicates = _as_int(exp["replicates"], "experiment.replicates")
-    if "targets" in exp:
-        _require(isinstance(exp["targets"], list), "experiment.targets must be a list")
-        cfg.targets = [_as_real(t, "experiment.targets") for t in exp["targets"]]
-    if "base_seed" in exp:
-        cfg.base_seed = _as_int(exp["base_seed"], "experiment.base_seed")
-    if "fit_window" in exp:
-        _require(isinstance(exp["fit_window"], list), "experiment.fit_window must be a list")
-        cfg.fit_window = [_as_real(v, "experiment.fit_window") for v in exp["fit_window"]]
-    if "crossing_band" in exp:
-        cfg.crossing_band = _as_real(exp["crossing_band"], "experiment.crossing_band")
-    if "crossing_method" in exp:
-        cfg.crossing_method = exp["crossing_method"]
-    if "estimator" in exp:
-        cfg.estimator = exp["estimator"]
-
-    output = raw.get("output", {})
-    _no_unknown_keys(output, ("directory", "formats"), "output")
-    cfg.out_dir = output.get("directory", cfg.out_dir)
-    if "formats" in output:
-        _require(isinstance(output["formats"], list), "output.formats must be a list")
-        cfg.formats = list(output["formats"])
-
+    for section, values in raw.items():
+        _require(isinstance(values, dict),
+                 f"config.{section} must be a JSON object, got {values!r}")
+        for key, value in values.items():
+            path = f"{section}.{key}"
+            _require(path in _SETTINGS, f"unknown key: {path}")
+            setting = _SETTINGS[path]
+            setattr(cfg, setting.name, setting.metadata["parse"](value, path))
     return cfg.validate()
 
 

@@ -1,11 +1,24 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
+
+# a config file that sets every key, each away from its default
+EVERY_KEY = {
+    "model": {"L": [4, 6], "J": 1.1, "Gamma": 0.9},
+    "trial": {"kind": "exact-groundstate", "lambda1": 0.21, "lambda2": 0.07},
+    "gfmc": {"lambda_shift": 9.0, "chain_length": 3000, "warmup": 120, "l_reweight": 60},
+    "noise": {"M0": 2, "M": [50, 100]},
+    "experiment": {"replicates": 3, "targets": [0.01, 0.03], "base_seed": 77,
+                   "fit_window": [0.002, 0.5], "crossing_band": 4.0,
+                   "crossing_method": "prefactor", "estimator": "average"},
+    "output": {"directory": "elsewhere", "formats": ["json"]},
+}
 from shotgfmc.seeding import derive_seed, splitmix64
 
 
@@ -82,10 +95,41 @@ def test_config_malformed_file(tmp_path):
         parse_config(tmp_path / "missing.json")
 
 
+def test_config_rejects_non_object_section():
+    with pytest.raises(ConfigError, match="config.model must be a JSON object"):
+        from_dict({"model": 5})
+    with pytest.raises(ConfigError, match="config.experiment must be a JSON object"):
+        from_dict({"experiment": "x"})
+
+
+def test_config_rejects_non_string_directory():
+    with pytest.raises(ConfigError, match="output.directory must be a string"):
+        from_dict({"output": {"directory": 5}, "model": {"L": 3}})
+
+
 def test_config_roundtrip_dict():
     cfg = RunConfig().validate()
     again = from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_config_roundtrip_every_field():
+    cfg = from_dict(EVERY_KEY)
+    assert cfg == RunConfig(
+        L_list=[4, 6], J=1.1, Gamma=0.9, trial_kind="exact-groundstate",
+        lambda1=0.21, lambda2=0.07, lambda_shift=9.0, chain_length=3000, warmup=120,
+        l_reweight=60, M0=2, M_list=[50, 100], replicates=3, targets=[0.01, 0.03],
+        base_seed=77, fit_window=[0.002, 0.5], crossing_band=4.0,
+        crossing_method="prefactor", estimator="average", out_dir="elsewhere",
+        formats=["json"],
+    )
+    default = RunConfig()
+    for setting in fields(RunConfig):
+        assert getattr(cfg, setting.name) != getattr(default, setting.name), setting.name
+    assert cfg.to_dict() == EVERY_KEY
+    assert from_dict(cfg.to_dict()) == cfg
+    keys = [setting.metadata["key"] for setting in fields(RunConfig)]
+    assert len(set(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +286,51 @@ def test_cli_sweep_end_to_end_deterministic(tmp_path, capsys):
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# every flag that overrides a setting, on top of a file that sets every key
+OVERRIDES = {
+    "ed": (["--L", "5", "--J", "0.8", "--Gamma", "1.2"],
+           {"model.L": [5], "model.J": 0.8, "model.Gamma": 1.2}),
+    "scan": (["--L", "5", "--M0", "3", "--reps", "2", "--trial", "jastrow",
+              "--lambda1", "0.3", "--lambda2", "0.05"],
+             {"model.L": [5], "noise.M0": 3, "experiment.replicates": 2,
+              "trial.kind": "jastrow", "trial.lambda1": 0.3, "trial.lambda2": 0.05}),
+    "gfmc": (["--L", "5", "--trial", "jastrow", "--M", "800", "--replicates", "2",
+              "--chain-length", "2000", "--warmup", "50", "--l-reweight", "40",
+              "--lambda-shift", "7.5"],
+             {"model.L": [5], "trial.kind": "jastrow", "experiment.replicates": 2,
+              "gfmc.chain_length": 2000, "gfmc.warmup": 50, "gfmc.l_reweight": 40,
+              "gfmc.lambda_shift": 7.5}),
+    "sweep": (["--L", "4", "--M", "60,120", "--trial", "jastrow", "--replicates", "2",
+               "--chain-length", "2000", "--targets", "0.02,0.04", "--window", "0.001,0.4",
+               "--band", "6", "--crossing-method", "local", "--estimator", "reweighted",
+               "--threads", "1"],
+              {"model.L": [4], "noise.M": [60, 120], "trial.kind": "jastrow",
+               "experiment.replicates": 2, "gfmc.chain_length": 2000,
+               "experiment.targets": [0.02, 0.04], "experiment.fit_window": [0.001, 0.4],
+               "experiment.crossing_band": 6.0, "experiment.crossing_method": "local",
+               "experiment.estimator": "reweighted"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERRIDES))
+def test_cli_every_flag_overrides_its_config_key(tmp_path, capsys, command):
+    cfg_path = tmp_path / "every.json"
+    cfg_path.write_text(json.dumps(EVERY_KEY))
+    out_dir = tmp_path / "out"
+    flags, overridden = OVERRIDES[command]
+    code, _, err = _run(capsys, [command, "--config", str(cfg_path), *flags,
+                                 "--seed", "8", "--out-dir", str(out_dir)])
+    assert code == 0, err
+    expected = json.loads(json.dumps(EVERY_KEY))
+    overridden = {**overridden, "experiment.base_seed": 8, "output.directory": str(out_dir)}
+    for path, value in overridden.items():
+        section, key = path.split(".")
+        expected[section][key] = value
+    config = json.loads((out_dir / "run_manifest.json").read_text())["config"]
+    assert config.keys() == expected.keys()
+    for section, values in expected.items():
+        assert config[section].keys() == values.keys(), section
+        for key, value in values.items():
+            assert config[section][key] == value, f"{section}.{key}"
