@@ -44,7 +44,13 @@ from .scaling import (
     write_sweep_csv,
 )
 from .seeding import derive_seed
-from .shots import local_energy_scan, noisy_amplitudes, sample_counts, write_scan_csv
+from .shots import (
+    CSV_CHUNK_ROWS,
+    local_energy_scan,
+    noisy_amplitudes,
+    sample_counts,
+    write_scan_csv,
+)
 from .trial import JastrowParams, build_table
 
 MANIFEST_SCHEMA = "run_manifest.v1"
@@ -165,12 +171,14 @@ def _build_trial(cfg: RunConfig, m: TfiModel):
 
 def _cmd_gfmc(args) -> int:
     cfg = _load_config(args)
+    if cfg.M_list is not None and len(cfg.M_list) != 1:
+        raise ConfigError(f"gfmc takes a single shot budget, got noise.M = {cfg.M_list}")
+    M = None if cfg.M_list is None else cfg.M_list[0]
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     trial, gs = _build_trial(cfg, m)
     gs_energy = (gs if gs is not None else ground_state(m)).energy
     base = _gfmc_config(cfg)
-    M = args.M
     rew, avg = [], []
     chain_rows = []
     # populations of at most max_population walkers bound the record memory
@@ -218,15 +226,25 @@ def _cmd_gfmc(args) -> int:
                     {"schema_version": "gfmc_result.v1", **payload})
         for rep, record in enumerate(chain_rows):
             name = f"chain_{rep}.csv"
-            with open(os.path.join(cfg.out_dir, name), "w") as f:
-                f.write("# schema=chain_record.v1\n")
-                f.write("n,state,b,e\n")
-                for n in range(len(record)):
-                    f.write(f"{n},{record.states[n]},{float(record.b_values[n])!r},"
-                            f"{float(record.e_values[n])!r}\n")
+            _write_chain_csv(os.path.join(cfg.out_dir, name), record)
             outputs.append(name)
         _write_manifest(cfg.out_dir, "gfmc", cfg, outputs, time.perf_counter() - t0)
     return 0
+
+
+def _write_chain_csv(path: str, record) -> None:
+    """One (n, state, b, e) row per recorded step; floats as their repr."""
+    with open(path, "w") as f:
+        f.write("# schema=chain_record.v1\n")
+        f.write("n,state,b,e\n")
+        for lo in range(0, len(record), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            f.write("".join([
+                f"{n},{x},{b!r},{e!r}\n"
+                for n, x, b, e in zip(range(lo, hi), record.states[lo:hi].tolist(),
+                                      record.b_values[lo:hi].tolist(),
+                                      record.e_values[lo:hi].tolist())
+            ]))
 
 
 def _cmd_sweep(args) -> int:
@@ -347,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     gf = sub.add_parser("gfmc", help="run chains and estimate the energy")
     gf.add_argument("--L", type=int, nargs=1, dest="L_list", metavar="L")
     gf.add_argument("--trial", choices=TRIAL_KINDS, dest="trial_kind")
-    gf.add_argument("--M", type=int, help="shot budget; omit for noiseless amplitudes")
+    gf.add_argument("--M", type=int, nargs=1, dest="M_list", metavar="M",
+                    help="shot budget; omit for noiseless amplitudes")
     gf.add_argument("--replicates", type=int)
     gf.add_argument("--chain-length", type=int)
     gf.add_argument("--warmup", type=int)

@@ -129,7 +129,8 @@ class RunConfig:
             _require(len(self.M_list) >= 1 and all(isinstance(v, int) and v >= 1 for v in self.M_list),
                      "noise.M must be a nonempty list of integers >= 1")
         _require(self.replicates >= 2, "experiment.replicates must be >= 2")
-        _require(all(t > 0 for t in self.targets), "experiment.targets must be positive")
+        _require(len(self.targets) >= 1 and all(t > 0 for t in self.targets),
+                 "experiment.targets must be a nonempty list of positive numbers")
         _require(len(self.fit_window) == 2 and 0 < self.fit_window[0] < self.fit_window[1],
                  "experiment.fit_window must be [lo, hi] with 0 < lo < hi")
         _require(self.crossing_band > 1, "experiment.crossing_band must exceed 1")

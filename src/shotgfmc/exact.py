@@ -6,14 +6,24 @@ bit-for-bit; for Gamma > 0 the ground state is unique and strictly
 positive, and the returned vector is sign-fixed accordingly. At Gamma = 0
 the ground level is doubly degenerate and any normalized vector in that
 subspace may be returned; energies are still correct.
+
+The matvec reads each flip neighbour v[x ^ 1<<k] with ``model.flip_bit``,
+two strided copies into one scratch vector, instead of gathering through
+an index array. The Krylov basis lives in the rows of one preallocated
+array (BASIS_CAPACITY rows, doubled when full), so reorthogonalization
+and the Ritz vector work on a view of the first rows and never copy the
+basis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, all_diagonal_energies
+from .model import TfiModel, all_diagonal_energies, flip_bit
 from .trial import AmplitudeTable
+
+# initial row count of the Krylov basis array; it doubles when full
+BASIS_CAPACITY = 64
 
 
 @dataclass
@@ -30,13 +40,15 @@ class _HamiltonianAction:
     def __init__(self, m: TfiModel):
         self.m = m
         self.diag = all_diagonal_energies(m)
-        self.idx = np.arange(m.n_states, dtype=np.int64)
+        self.flipped = np.empty(m.n_states)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         if self.m.Gamma != 0.0:
             for k in range(self.m.L):
-                out -= self.m.Gamma * v[self.idx ^ (1 << k)]
+                flip_bit(v, k, self.flipped)
+                self.flipped *= self.m.Gamma
+                out -= self.flipped
         return out
 
 
@@ -54,21 +66,23 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
         raise ValueError("tol must be positive")
     n = m.n_states
     H = _HamiltonianAction(m)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    basis = [v]
+    # Krylov basis: row j is the j-th Lanczos vector
+    V = np.empty((BASIS_CAPACITY, n))
+    V[0] = 1.0 / np.sqrt(n)
+    v = V[0]
     alphas: list[float] = []
     betas: list[float] = []
     w = H(v)
     for it in range(1, max_iter + 1):
         a = float(v @ w)
         alphas.append(a)
-        w = w - a * v
+        w -= a * v
         if betas:
-            w = w - betas[-1] * basis[-2]
+            w -= betas[-1] * V[it - 2]
         # full reorthogonalization, two passes
-        V = np.asarray(basis)
-        w -= V.T @ (V @ w)
-        w -= V.T @ (V @ w)
+        basis = V[:it]
+        w -= basis.T @ (basis @ w)
+        w -= basis.T @ (basis @ w)
         beta = float(np.linalg.norm(w))
 
         T = np.diag(alphas)
@@ -79,7 +93,7 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
         theta = float(evals[0])
         bound = abs(beta * evecs[-1, 0])
         if bound <= tol or beta < 1e-14:
-            y = np.asarray(basis).T @ evecs[:, 0]
+            y = basis.T @ evecs[:, 0]
             y /= np.linalg.norm(y)
             if y.sum() < 0:
                 y = -y
@@ -93,8 +107,11 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
                     f"{residual:.3e} > tol {tol:.3e}"
                 )
         betas.append(beta)
-        v = w / beta
-        basis.append(v)
+        if it == len(V):
+            grown = np.empty((2 * len(V), n))
+            grown[:it] = V
+            V = grown
+        v = np.divide(w, beta, out=V[it])
         w = H(v)
     raise RuntimeError(
         f"ground state did not converge to residual {tol:.3e} within {max_iter} iterations"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import chain_fill, sliding_window_sums
-from .model import TfiModel, all_diagonal_energies
+from .model import TfiModel, all_diagonal_energies, flip_bit
 from .trial import AmplitudeTable
 
 DEFAULT_CHAIN_LENGTH = 50_000
@@ -96,11 +96,11 @@ def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.n
     defined is the boolean support mask. Zero-amplitude neighbors
     contribute nothing.
     """
-    idx = np.arange(m.n_states, dtype=np.int64)
     defined = t.amps > 0.0
     acc = np.zeros(m.n_states)
+    flipped = np.empty(m.n_states)
     for k in range(m.L):
-        acc += t.amps[idx ^ (1 << k)]
+        acc += flip_bit(t.amps, k, flipped)
     e = np.full(m.n_states, np.nan)
     e[defined] = (
         all_diagonal_energies(m)[defined] - m.Gamma * acc[defined] / t.amps[defined]

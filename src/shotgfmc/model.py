@@ -56,3 +56,17 @@ def bond_correlations(m: TfiModel, offset: int) -> np.ndarray:
 def all_diagonal_energies(m: TfiModel) -> np.ndarray:
     """-J * sum_k s_k s_{k+1} over the L periodic bonds, for every basis state."""
     return -m.J * bond_correlations(m, 1).astype(np.float64)
+
+
+def flip_bit(v: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """out[x] = v[x ^ (1 << k)] for every basis state x; returns out.
+
+    Viewed as (blocks, 2, 2^k), flipping bit k swaps the two middle
+    halves, so two strided copies do it with no index array. out must
+    not overlap v.
+    """
+    src = v.reshape(-1, 2, 1 << k)
+    dst = out.reshape(-1, 2, 1 << k)
+    dst[:, 0] = src[:, 1]
+    dst[:, 1] = src[:, 0]
+    return out

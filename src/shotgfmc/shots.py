@@ -23,6 +23,10 @@ NA_TOKEN = "NA"
 
 SCAN_SCHEMA = "local_energy_scan.v1"
 
+# rows formatted per write by the CSV writers; bounds the row strings
+# held at once
+CSV_CHUNK_ROWS = 4096
+
 
 @dataclass
 class ShotCounts:
@@ -108,17 +112,33 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
 
 
 def write_scan_csv(scan: LocalEnergyScan, path) -> None:
-    """Rows in (rep, rank) order; undefined local energies become NA."""
+    """Rows in (rep, rank) order; undefined local energies become NA.
+
+    Columns are put in rank order and turned into Python floats once per
+    array, every float is written as its repr, and rows go out in chunks
+    of CSV_CHUNK_ROWS.
+    """
+    order = scan.order
+    # rank, state, exact_amp and exact_eloc are the same in every replicate
+    heads = [f"{rank},{state},{amp!r}" for rank, (state, amp) in
+             enumerate(zip(order.tolist(), scan.exact_amp[order].tolist()))]
+    exact_eloc = [repr(e) for e in scan.exact_eloc[order].tolist()]
+    tail = f"{scan.L},{scan.M0},{scan.seed}\n"
     with open(path, "w", newline="") as f:
         f.write(f"# schema={SCAN_SCHEMA}\n")
         f.write("rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
         for rep in range(scan.reps):
-            for rank, state in enumerate(scan.order):
-                ne = scan.noisy_eloc[rep, state]
-                ne_txt = NA_TOKEN if np.isnan(ne) else repr(float(ne))
-                f.write(
-                    f"{rep},{rank},{state},{float(scan.exact_amp[state])!r},"
-                    f"{float(scan.noisy_amp[rep, state])!r},"
-                    f"{float(scan.exact_eloc[state])!r},"
-                    f"{ne_txt},{scan.L},{scan.M0},{scan.seed}\n"
-                )
+            noisy_amp = scan.noisy_amp[rep, order].tolist()
+            noisy_eloc = scan.noisy_eloc[rep, order].tolist()
+            # amplitudes are sqrt(k/M) >= +0 for the few distinct counts k, so
+            # one repr per distinct value serves the whole replicate
+            amp_txt = {a: repr(a) for a in set(noisy_amp)}
+            prefix = f"{rep},"
+            for lo in range(0, len(heads), CSV_CHUNK_ROWS):
+                hi = lo + CSV_CHUNK_ROWS
+                eloc_txt = [NA_TOKEN if e != e else repr(e) for e in noisy_eloc[lo:hi]]
+                f.write("".join([
+                    f"{prefix}{head},{amp_txt[a]},{ee},{ne},{tail}"
+                    for head, a, ee, ne in zip(heads[lo:hi], noisy_amp[lo:hi],
+                                               exact_eloc[lo:hi], eloc_txt)
+                ]))

@@ -5,8 +5,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from shotgfmc import cli
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
+from shotgfmc.exact import ground_state
+from shotgfmc.gfmc import GfmcConfig, run_chain
+from shotgfmc.model import TfiModel
+from shotgfmc.seeding import derive_seed, splitmix64
+from shotgfmc.trial import build_table
+
+from oracles import write_chain_csv_rows
 
 # a config file that sets every key, each away from its default
 EVERY_KEY = {
@@ -19,7 +27,6 @@ EVERY_KEY = {
                    "crossing_method": "prefactor", "estimator": "average"},
     "output": {"directory": "elsewhere", "formats": ["json"]},
 }
-from shotgfmc.seeding import derive_seed, splitmix64
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +91,22 @@ def test_config_rejects_unknown_output_format():
     cfg.formats = ["csv", "xml"]
     with pytest.raises(ConfigError, match="output.formats"):
         cfg.validate()
+
+
+def test_config_rejects_empty_targets():
+    with pytest.raises(ConfigError, match="experiment.targets"):
+        from_dict({"experiment": {"targets": []}})
+
+
+def test_cli_sweep_rejects_empty_targets(tmp_path, capsys):
+    code, _, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
+        "--chain-length", "2000", "--targets", "", "--threads", "1",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "experiment.targets" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_malformed_file(tmp_path):
@@ -247,6 +270,48 @@ def test_cli_gfmc_noisy(capsys):
     assert payload["M"] == 200
 
 
+def test_cli_gfmc_shot_budget_is_in_the_config_hash(tmp_path, capsys):
+    manifests = {}
+    for M in (200, 400):
+        out_dir = tmp_path / f"M{M}"
+        code, _, err = _run(capsys, [
+            "gfmc", "--L", "4", "--M", str(M), "--chain-length", "2000",
+            "--warmup", "100", "--replicates", "2", "--out-dir", str(out_dir),
+        ])
+        assert code == 0, err
+        manifests[M] = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifests[200]["config"]["noise"]["M"] == [200]
+    assert manifests[400]["config"]["noise"]["M"] == [400]
+    assert manifests[200]["config_hash"] != manifests[400]["config_hash"]
+
+
+def test_cli_gfmc_rejects_several_shot_budgets(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"L": 4}, "noise": {"M": [200, 400]}}))
+    code, _, err = _run(capsys, ["gfmc", "--config", str(cfg), "--chain-length", "2000",
+                                 "--warmup", "100", "--replicates", "2"])
+    assert code == 1
+    assert "noise.M" in err
+    code, out, err = _run(capsys, ["gfmc", "--config", str(cfg), "--M", "300",
+                                   "--chain-length", "2000", "--warmup", "100",
+                                   "--replicates", "2"])
+    assert code == 0, err
+    assert json.loads(out)["M"] == 300
+
+
+@pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_ROWS, 7])
+def test_chain_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    m = TfiModel(6)
+    table = build_table("exact-groundstate", m, vector=ground_state(m).vector)
+    cfg = GfmcConfig(chain_length=6000, warmup=100, l_reweight=50)
+    record = run_chain(cfg, [table], m, [np.random.default_rng(5)])[0]
+    assert len(record) > cli.CSV_CHUNK_ROWS
+    cli._write_chain_csv(str(tmp_path / "fast.csv"), record)
+    write_chain_csv_rows(record, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_cli_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"L": 6}, "gfmc": {"chain_length": 3000,
@@ -299,9 +364,9 @@ OVERRIDES = {
     "gfmc": (["--L", "5", "--trial", "jastrow", "--M", "800", "--replicates", "2",
               "--chain-length", "2000", "--warmup", "50", "--l-reweight", "40",
               "--lambda-shift", "7.5"],
-             {"model.L": [5], "trial.kind": "jastrow", "experiment.replicates": 2,
-              "gfmc.chain_length": 2000, "gfmc.warmup": 50, "gfmc.l_reweight": 40,
-              "gfmc.lambda_shift": 7.5}),
+             {"model.L": [5], "trial.kind": "jastrow", "noise.M": [800],
+              "experiment.replicates": 2, "gfmc.chain_length": 2000, "gfmc.warmup": 50,
+              "gfmc.l_reweight": 40, "gfmc.lambda_shift": 7.5}),
     "sweep": (["--L", "4", "--M", "60,120", "--trial", "jastrow", "--replicates", "2",
                "--chain-length", "2000", "--targets", "0.02,0.04", "--window", "0.001,0.4",
                "--band", "6", "--crossing-method", "local", "--estimator", "reweighted",

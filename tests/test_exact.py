@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from shotgfmc import exact
 from shotgfmc.exact import apply_hamiltonian, ground_state, variational_energy
 from shotgfmc.model import TfiModel
 from shotgfmc.trial import AmplitudeTable, build_table
 
-from oracles import dense_hamiltonian, free_fermion_e0
+from oracles import apply_hamiltonian_gather, dense_hamiltonian, free_fermion_e0
 
 
 def test_ground_state_l2_closed_form():
@@ -81,6 +82,29 @@ def test_apply_hamiltonian_matches_dense_oracle(L, J, Gamma):
     rng = np.random.default_rng(L)
     for v in (rng.normal(size=1 << L), np.eye(1 << L)[(1 << L) - 2]):
         assert np.allclose(apply_hamiltonian(v, m), H @ v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
+def test_apply_hamiltonian_bit_identical_to_gather_oracle(L, J, Gamma):
+    m = TfiModel(L, J=J, Gamma=Gamma)
+    rng = np.random.default_rng(100 + L)
+    v = rng.normal(size=1 << L)
+    v[rng.random(1 << L) < 0.3] = 0.0
+    assert np.array_equal(apply_hamiltonian(v, m), apply_hamiltonian_gather(v, L, J, Gamma))
+
+
+def test_ground_state_basis_growth_is_bit_identical(monkeypatch):
+    m = TfiModel(10, J=1.0, Gamma=0.8)
+    default = ground_state(m)
+    monkeypatch.setattr(exact, "BASIS_CAPACITY", 1)
+    grown = ground_state(m)
+    # capacity 1 doubles at iterations 1, 2, 4, 8 and 16
+    assert default.iterations > 16
+    assert grown.iterations == default.iterations
+    assert grown.energy == default.energy
+    assert grown.residual == default.residual
+    assert np.array_equal(grown.vector, default.vector)
 
 
 def test_apply_hamiltonian_on_eigenvector():

@@ -22,6 +22,7 @@ from shotgfmc.trial import AmplitudeTable, build_table
 
 from oracles import (
     chain_fill_scalar,
+    local_energy_table_gather,
     dense_hamiltonian,
     jastrow_amp_direct,
     local_energy_direct,
@@ -94,6 +95,21 @@ def test_local_energy_table_matches_single():
                                          rel=1e-12)
         else:
             assert np.isnan(e[x])
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
+def test_local_energy_table_bit_identical_to_gather_oracle(L, J, Gamma):
+    m = TfiModel(L, J=J, Gamma=Gamma)
+    rng = np.random.default_rng(200 + L)
+    counts = rng.integers(0, 3, size=1 << L)
+    counts[0], counts[-1] = 1, 0
+    t = AmplitudeTable(L, np.sqrt(counts / counts.sum()), "noisy")
+    e, defined = local_energy_table(t, m)
+    e_ref, defined_ref = local_energy_table_gather(t.amps, L, J, Gamma)
+    assert (~defined).any()
+    assert np.array_equal(defined, defined_ref)
+    assert np.array_equal(e, e_ref, equal_nan=True)
 
 
 def test_green_row_uniform_example():

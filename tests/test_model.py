@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shotgfmc.exact import apply_hamiltonian
-from shotgfmc.model import TfiModel, all_diagonal_energies, bond_correlations
+from shotgfmc.model import TfiModel, all_diagonal_energies, bond_correlations, flip_bit
 
 from oracles import dense_hamiltonian, spin
 
@@ -81,3 +81,13 @@ def test_bond_correlations_against_direct_loop():
             for x in range(32)
         ]
         assert np.array_equal(bond_correlations(m, offset), np.array(ref))
+
+
+@pytest.mark.parametrize("L", [2, 3, 7])
+def test_flip_bit_is_the_xor_permutation(L):
+    v = np.random.default_rng(L).normal(size=1 << L)
+    idx = np.arange(1 << L)
+    out = np.empty(1 << L)
+    for k in range(L):
+        assert flip_bit(v, k, out) is out
+        assert np.array_equal(out, v[idx ^ (1 << k)])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from shotgfmc import shots
 from shotgfmc.exact import ground_state
 from shotgfmc.gfmc import local_energy_table
 from shotgfmc.model import TfiModel
 from shotgfmc.seeding import derive_seed
 from shotgfmc.shots import (
     NA_TOKEN,
+    LocalEnergyScan,
     ShotCounts,
     local_energy_scan,
     noisy_amplitudes,
@@ -14,6 +16,8 @@ from shotgfmc.shots import (
     write_scan_csv,
 )
 from shotgfmc.trial import build_table
+
+from oracles import write_scan_csv_rows
 
 # chi-square inverse cdf at 1 - 1e-6 for 3 degrees of freedom
 CHI2_3_1E6 = 30.66484970615427
@@ -213,3 +217,49 @@ def test_scan_rejects_partial_support():
     partial = noisy_amplitudes(ShotCounts(3, 10, counts))
     with pytest.raises(ValueError):
         local_energy_scan(m, partial, M0=2, reps=2, seed=0)
+
+
+def _synthetic_scan(L, reps):
+    """A scan table with NA rows, tied amplitudes and exponent-form reprs."""
+    n = 1 << L
+    rng = np.random.default_rng(L)
+    exact_amp = rng.random(n) + 0.01
+    exact_amp[n // 2:] = exact_amp[0]  # ties broken by state index
+    exact_amp[1] = 1e-05
+    M = 10 ** 12
+    counts = rng.integers(0, 3, size=(reps, n))
+    counts[:, 0] = 1  # noisy_amp 1e-06
+    noisy_eloc = np.where(counts > 0, rng.normal(-1.0, 1.0, size=(reps, n)), np.nan)
+    noisy_eloc[:, 0] = -2.5e-17
+    exact_eloc = np.full(n, -1.2345678901234567)
+    exact_eloc[-1] = 3e+16
+    order = np.lexsort((np.arange(n), -exact_amp))
+    return LocalEnergyScan(L, 7, M, reps, 11, order, exact_amp, exact_eloc,
+                           np.sqrt(counts / M), noisy_eloc)
+
+
+@pytest.mark.parametrize("L, reps, chunk", [
+    (2, 3, shots.CSV_CHUNK_ROWS),
+    (4, 2, 5),                      # chunks end inside a replicate
+    (13, 2, shots.CSV_CHUNK_ROWS),  # a replicate spans two full chunks
+])
+def test_scan_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, L, reps, chunk):
+    monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", chunk)
+    scan = _synthetic_scan(L, reps)
+    write_scan_csv(scan, tmp_path / "fast.csv")
+    write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    text = (tmp_path / "fast.csv").read_text()
+    assert f",{NA_TOKEN}," in text and "1e-05" in text and "1e-06" in text
+    assert "-2.5e-17" in text and "3e+16" in text
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("L", [2, 5])
+def test_scan_csv_bytes_match_row_loop_oracle_on_a_scan(tmp_path, L):
+    m = TfiModel(L)
+    gs = ground_state(m)
+    trial = build_table("exact-groundstate", m, vector=gs.vector)
+    scan = local_energy_scan(m, trial, M0=1, reps=3, seed=4)
+    write_scan_csv(scan, tmp_path / "fast.csv")
+    write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
