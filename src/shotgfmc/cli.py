@@ -56,9 +56,12 @@ from .trial import JastrowParams, build_table
 MANIFEST_SCHEMA = "run_manifest.v1"
 
 
-def _config_hash(cfg_dict: dict) -> str:
-    """Hash of the computation-defining config; output location excluded."""
+def _config_hash(cfg_dict: dict, inputs: dict | None = None) -> str:
+    """Hash of what defines the computation: the config without its output
+    location, plus the command inputs that are not config settings."""
     body = {k: v for k, v in cfg_dict.items() if k != "output"}
+    if inputs:
+        body["inputs"] = inputs
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -75,20 +78,22 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list,
-                    wall_time: float) -> None:
-    cfg_dict = cfg.to_dict()
+def _write_manifest(out_dir: str, command: str, cfg_dict: dict, base_seed,
+                    outputs: list, wall_time: float, inputs: dict | None = None) -> None:
+    """run_manifest.json; inputs are the command's flags that are not settings."""
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "command": command,
         "config": cfg_dict,
-        "config_hash": _config_hash(cfg_dict),
-        "base_seed": cfg.base_seed,
+        "config_hash": _config_hash(cfg_dict, inputs),
+        "base_seed": base_seed,
         "versions": _versions(),
         "outputs": sorted(outputs),
         "wall_time_s": wall_time,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
+    if inputs is not None:
+        manifest["inputs"] = inputs
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
@@ -139,7 +144,8 @@ def _cmd_ed(args) -> int:
     if args.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _write_json(os.path.join(cfg.out_dir, "ed.json"), {"schema_version": "ed.v1", **payload})
-        _write_manifest(cfg.out_dir, "ed", cfg, ["ed.json"], time.perf_counter() - t0)
+        _write_manifest(cfg.out_dir, "ed", cfg.to_dict(), cfg.base_seed, ["ed.json"],
+                        time.perf_counter() - t0, inputs={"tol": args.tol})
     return 0
 
 
@@ -154,8 +160,8 @@ def _cmd_scan(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "local_energy_scan.csv")
     write_scan_csv(scan, path)
-    _write_manifest(cfg.out_dir, "scan", cfg, ["local_energy_scan.csv"],
-                    time.perf_counter() - t0)
+    _write_manifest(cfg.out_dir, "scan", cfg.to_dict(), cfg.base_seed,
+                    ["local_energy_scan.csv"], time.perf_counter() - t0)
     _print_json({"written": [path], "L": m.L, "M0": cfg.M0, "M": scan.M,
                  "replicates": cfg.replicates})
     return 0
@@ -228,7 +234,8 @@ def _cmd_gfmc(args) -> int:
             name = f"chain_{rep}.csv"
             _write_chain_csv(os.path.join(cfg.out_dir, name), record)
             outputs.append(name)
-        _write_manifest(cfg.out_dir, "gfmc", cfg, outputs, time.perf_counter() - t0)
+        _write_manifest(cfg.out_dir, "gfmc", cfg.to_dict(), cfg.base_seed, outputs,
+                        time.perf_counter() - t0)
     return 0
 
 
@@ -251,13 +258,12 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    cache_path = os.path.join(cfg.out_dir, "e0_cache.json")
     points = run_sweep(
         cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),
         replicates=cfg.replicates, J=cfg.J, Gamma=cfg.Gamma,
         base_seed=cfg.base_seed, estimator=cfg.estimator,
         jastrow=JastrowParams(cfg.lambda1, cfg.lambda2),
-        threads=args.threads, e0_cache_path=cache_path,
+        threads=args.threads,
     )
     result = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
                        band=cfg.crossing_band, crossing_method=cfg.crossing_method)
@@ -275,18 +281,19 @@ def _cmd_sweep(args) -> int:
     if "json" in cfg.formats:
         _write_json(os.path.join(cfg.out_dir, "scaling_summary.json"), summary)
         outputs.append("scaling_summary.json")
-    outputs.append("e0_cache.json")
-    _write_manifest(cfg.out_dir, "sweep", cfg, outputs, time.perf_counter() - t0)
+    _write_manifest(cfg.out_dir, "sweep", cfg_dict, cfg.base_seed, outputs,
+                    time.perf_counter() - t0)
     _print_json(summary)
     return 0
 
 
 def _cmd_extrapolate(args) -> int:
     t0 = time.perf_counter()
+    inputs = {"a": args.a, "b": args.b, "L": args.L, "circuit_layers": args.layers,
+              "gate_clock_hz": args.clock_hz}
     fitted = extrapolate_runtime(args.a, args.b, args.L, args.layers, args.clock_hz)
     payload = {
-        "a": args.a, "b": args.b, "L": args.L,
-        "circuit_layers": args.layers, "gate_clock_hz": args.clock_hz,
+        **inputs,
         "fitted": {"shots": fitted.shots, "seconds": fitted.seconds,
                    "years": fitted.years},
     }
@@ -305,8 +312,10 @@ def _cmd_extrapolate(args) -> int:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _write_json(os.path.join(cfg.out_dir, "extrapolate.json"),
                     {"schema_version": "extrapolate.v1", **payload})
-        _write_manifest(cfg.out_dir, "extrapolate", cfg, ["extrapolate.json"],
-                        time.perf_counter() - t0)
+        # extrapolate reads no setting besides the output location
+        _write_manifest(cfg.out_dir, "extrapolate", {"output": cfg.to_dict()["output"]},
+                        None, ["extrapolate.json"], time.perf_counter() - t0,
+                        inputs={**inputs, "reference_shots": args.reference_shots})
     return 0
 
 

@@ -9,6 +9,7 @@ dictionary (after both) is what gets hashed into the run manifest.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .gfmc import DEFAULT_CHAIN_LENGTH, DEFAULT_REWEIGHT_WINDOW, DEFAULT_WARMUP
@@ -111,8 +112,10 @@ class RunConfig:
         _require(self.Gamma >= 0, "model.Gamma must satisfy Gamma >= 0")
         _require(self.trial_kind in TRIAL_KINDS, f"trial.kind must be one of {TRIAL_KINDS}")
         if self.lambda_shift != "auto":
-            _require(isinstance(self.lambda_shift, (int, float)),
-                     "gfmc.lambda_shift must be a number or 'auto'")
+            _require(isinstance(self.lambda_shift, (int, float))
+                     and math.isfinite(self.lambda_shift),
+                     f"gfmc.lambda_shift must be a finite number or 'auto', "
+                     f"got {self.lambda_shift!r}")
             for L in self.L_list:
                 _require(self.lambda_shift > L * self.J,
                          f"gfmc.lambda_shift must satisfy lambda_shift > L*J = {L * self.J}")

@@ -67,10 +67,10 @@ class GfmcConfig:
 
     def resolve_lambda_shift(self, m: TfiModel) -> float:
         lam = self.lambda_shift if self.lambda_shift is not None else auto_lambda_shift(m)
-        if lam <= m.L * m.J:
+        if not np.isfinite(lam) or lam <= m.L * m.J:
             raise ValueError(
-                f"lambda_shift must exceed L*J = {m.L * m.J} to keep the "
-                f"propagator nonnegative, got {lam}"
+                f"lambda_shift must be finite and exceed L*J = {m.L * m.J} to keep "
+                f"the propagator nonnegative, got {lam}"
             )
         return float(lam)
 

@@ -4,7 +4,9 @@ For every (L, M, replicate) a frozen shot-noise table is drawn from the
 exact trial distribution, one chain is run on it, and the energy per site
 is recorded. Per (L, M) the 16 replicates aggregate into the absolute
 value of the mean signed error (noisy chains are biased; the bias is what
-crosses the target lines) and its standard error.
+crosses the target lines) and its standard error. Each size's exact E0
+comes from its own Lanczos solve, so a sweep depends only on its
+arguments and seed.
 
 Crossings M*(eps) are localized by a weighted log-log fit with free
 exponent in an error band around each target (the measured error decays
@@ -15,11 +17,10 @@ crossings then feed the exponential fit log2 M* = log2 a + b*L over
 L > 6.
 """
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,6 @@ SECONDS_PER_YEAR = 3.156e7
 
 SWEEP_SCHEMA = "sweep_points.v1"
 SUMMARY_SCHEMA = "scaling_summary.v1"
-E0_CACHE_SCHEMA = "e0_cache.v1"
 
 DEFAULT_TARGETS = (0.005, 0.01, 0.02)
 DEFAULT_FIT_WINDOW = (0.005, 0.1)
@@ -85,7 +85,7 @@ def default_m_grid(L: int, trial_kind: str, points_below: int = 9,
     return grid
 
 
-def _run_replicate(args):
+def _run_replicate(task):
     """Pool task: one population of (M, rep) walkers at one L.
 
     Every walker samples its own frozen shot table from the shared trial
@@ -93,17 +93,13 @@ def _run_replicate(args):
     lockstep.
     The name predates populations; perfbench/tracing.py wraps it by name.
     """
-    (L, walkers, J, Gamma, p, lam, chain_length, warmup, l_reweight,
-     base_seed, estimator) = args
+    m, cfg, p, walkers, base_seed, estimator = task
     try:
-        m = TfiModel(L, J, Gamma)
         tables, rngs = [], []
         for M, rep in walkers:
-            rng = np.random.default_rng(derive_seed(base_seed, L, M, rep))
+            rng = np.random.default_rng(derive_seed(base_seed, m.L, M, rep))
             tables.append(noisy_amplitudes(sample_counts(p, M, rng)))
             rngs.append(rng)
-        cfg = GfmcConfig(lambda_shift=lam, chain_length=chain_length,
-                         warmup=warmup, l_reweight=l_reweight)
         records = run_chain(cfg, tables, m, rngs)
         if estimator == "reweighted":
             ests = [reweighted_energy(r) for r in records]
@@ -111,26 +107,27 @@ def _run_replicate(args):
             ests = [average_local_energy(r) for r in records]
     except Exception as exc:
         (M0, rep0), (M1, rep1) = walkers[0], walkers[-1]
-        raise RuntimeError(f"population failed at L={L} (M={M0} rep={rep0} .. "
+        raise RuntimeError(f"population failed at L={m.L} (M={M0} rep={rep0} .. "
                            f"M={M1} rep={rep1})") from exc
-    return [(L, M, rep, est / L) for (M, rep), est in zip(walkers, ests)]
+    return [(m.L, M, rep, est / m.L) for (M, rep), est in zip(walkers, ests)]
 
 
 def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
               replicates: int = 16, *, J: float = 1.0, Gamma: float = 1.0,
               base_seed: int = 0, estimator: str = "reweighted",
-              jastrow: JastrowParams | None = None, ed_tol: float = 1e-10,
-              threads: int | None = 1, e0_cache_path=None) -> list[SweepPoint]:
+              jastrow: JastrowParams | None = None,
+              threads: int | None = 1) -> list[SweepPoint]:
     """One SweepPoint per (L, M): replicates chains on fresh frozen tables.
 
-    m_grid may be None (default per-L grids), a list shared by every L, or
-    a dict mapping L to its own list. The walkers of one L are split into
-    populations of min(ceil(walkers / threads), max_population) that fan
-    out over a process pool when threads > 1; threads=None means one per
-    core. Walker seeds depend only on (base_seed, L, M, rep) and a
+    m_grid is None (default per-L grids) or a list shared by every L. Each
+    size's reference energy comes from its own Lanczos solve, so the
+    points depend only on the arguments. The walkers of one L are split
+    into populations of min(ceil(walkers / threads), max_population) that
+    fan out over a process pool when threads > 1; threads=None means one
+    per core. Walker seeds depend only on (base_seed, L, M, rep) and a
     walker's trajectory does not depend on its population, so neither the
-    schedule nor threads can change any number. A failed population aborts the sweep with its (L, M, rep)
-    range attached.
+    schedule nor threads can change any number. A failed population aborts
+    the sweep with its (L, M, rep) range attached.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -146,28 +143,20 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     for L in L_grid:
         m = TfiModel(L, J, Gamma)
         if trial_kind == "exact-groundstate":
-            gs = ground_state(m, tol=ed_tol)
-            e0, vector = gs.energy, gs.vector
-            _cache_energy(e0_cache_path, m, ed_tol, gs.residual, gs.iterations, e0)
-            trial = build_table("exact-groundstate", m, vector=vector)
+            gs = ground_state(m)
+            e0 = gs.energy
+            trial = build_table("exact-groundstate", m, vector=gs.vector)
         else:
-            e0 = reference_energy(m, tol=ed_tol, cache_path=e0_cache_path)
+            e0 = reference_energy(m)
             trial = build_table("jastrow", m, params=jastrow)
         e0_per_site[L] = e0 / L
-        lam = base_cfg.resolve_lambda_shift(m)
-        if isinstance(m_grid, dict):
-            ms = m_grid[L]
-        elif m_grid is None:
-            ms = default_m_grid(L, trial_kind)
-        else:
-            ms = list(m_grid)
+        cfg = replace(base_cfg, lambda_shift=base_cfg.resolve_lambda_shift(m))
+        ms = default_m_grid(L, trial_kind) if m_grid is None else m_grid
         walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
         p = trial.probabilities
         width = min(-(-len(walkers) // max(threads, 1)), max_population(base_cfg))
         for i in range(0, len(walkers), width):
-            tasks.append((L, walkers[i:i + width], J, Gamma, p, lam,
-                          base_cfg.chain_length, base_cfg.warmup, base_cfg.l_reweight,
-                          base_seed, estimator))
+            tasks.append((m, cfg, p, walkers[i:i + width], base_seed, estimator))
 
     results = {}
     if threads > 1:
@@ -187,41 +176,9 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     return points
 
 
-# ---------------------------------------------------------------------------
-# exact-energy reference cache
-
-def _cache_key(m: TfiModel) -> str:
-    return f"({m.L},{m.J!r},{m.Gamma!r})"
-
-
-def _load_cache(path) -> dict:
-    if path is None or not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        data = json.load(f)
-    return data.get("entries", {})
-
-
-def _cache_energy(path, m: TfiModel, tol, residual, iterations, e0) -> None:
-    if path is None:
-        return
-    entries = _load_cache(path)
-    entries[_cache_key(m)] = {"E0": e0, "residual": residual, "tol": tol,
-                              "iterations": iterations}
-    with open(path, "w") as f:
-        json.dump({"schema_version": E0_CACHE_SCHEMA, "entries": entries}, f,
-                  indent=1, sort_keys=True)
-
-
-def reference_energy(m: TfiModel, tol: float = 1e-10, cache_path=None) -> float:
-    """Ground-state energy, served from the JSON cache when tight enough."""
-    entries = _load_cache(cache_path)
-    hit = entries.get(_cache_key(m))
-    if hit is not None and hit["residual"] <= tol:
-        return float(hit["E0"])
-    gs = ground_state(m, tol=tol)
-    _cache_energy(cache_path, m, tol, gs.residual, gs.iterations, gs.energy)
-    return gs.energy
+def reference_energy(m: TfiModel) -> float:
+    """Exact ground-state energy of m (Lanczos), the sweep's E0 reference."""
+    return ground_state(m).energy
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +378,12 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
 # ---------------------------------------------------------------------------
 # wall-time extrapolation
 
+def _require_finite(**inputs) -> None:
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class RuntimeEstimate(NamedTuple):
     shots: float
     seconds: float
@@ -434,14 +397,16 @@ def extrapolate_runtime(a: float, b: float, L: int, circuit_layers: int,
     One shot costs circuit_layers / gate_clock_hz seconds; qubit reset,
     readout and communication latency are not included.
     """
+    _require_finite(a=a, b=b, L=L)
     if a <= 0 or L <= 0:
-        raise ValueError("a and L must be positive (b may be any real)")
+        raise ValueError("a and L must be positive (b may be any finite real)")
     return runtime_for_shots(a * 2.0 ** (b * L), circuit_layers, gate_clock_hz)
 
 
 def runtime_for_shots(shots: float, circuit_layers: int,
                       gate_clock_hz: float) -> RuntimeEstimate:
     """Wall time for an explicitly given shot count."""
+    _require_finite(shots=shots, circuit_layers=circuit_layers, gate_clock_hz=gate_clock_hz)
     if shots <= 0 or circuit_layers <= 0 or gate_clock_hz <= 0:
         raise ValueError("all inputs must be positive")
     seconds = shots * circuit_layers / gate_clock_hz

@@ -83,6 +83,26 @@ def test_config_validates_lambda_shift():
         from_dict({"model": {"L": 10}, "gfmc": {"lambda_shift": 5.0}})
 
 
+@pytest.mark.parametrize("lam", [float("inf"), float("-inf"), float("nan")])
+def test_config_rejects_non_finite_lambda_shift(tmp_path, lam):
+    with pytest.raises(ConfigError, match="gfmc.lambda_shift"):
+        from_dict({"model": {"L": 4}, "gfmc": {"lambda_shift": lam}})
+    # a JSON file spells these Infinity, -Infinity and NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"L": 4}, "gfmc": {"lambda_shift": lam}}))
+    with pytest.raises(ConfigError, match="gfmc.lambda_shift"):
+        parse_config(path)
+
+
+def test_cli_gfmc_rejects_infinite_lambda_shift(capsys):
+    code, out, err = _run(capsys, ["gfmc", "--L", "4", "--lambda-shift", "inf",
+                                   "--chain-length", "2000", "--warmup", "100",
+                                   "--replicates", "2"])
+    assert code == 1
+    assert out == ""
+    assert "gfmc.lambda_shift" in err
+
+
 def test_config_rejects_unknown_output_format():
     assert from_dict({"output": {"formats": ["json"]}}).formats == ["json"]
     with pytest.raises(ConfigError, match="output.formats"):
@@ -224,6 +244,58 @@ def test_cli_extrapolate_both_paths(capsys):
     assert "note" in payload
 
 
+@pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--b", "nan"), ("--b", "inf"),
+                                         ("--clock-hz", "inf"), ("--reference-shots", "nan")])
+def test_cli_extrapolate_rejects_non_finite_inputs(capsys, flag, value):
+    argv = {"--a": "29.9", "--b": "0.982", "--L": "40", flag: value}
+    code, out, err = _run(capsys, ["extrapolate", *[t for kv in argv.items() for t in kv]])
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_cli_ed_tolerance_is_in_the_manifest(tmp_path, capsys):
+    manifests = {}
+    for tol in ("1e-4", "1e-10"):
+        out_dir = tmp_path / tol
+        code, _, err = _run(capsys, ["ed", "--L", "8", "--tol", tol, "--out-dir", str(out_dir)])
+        assert code == 0, err
+        manifests[tol] = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifests["1e-4"]["inputs"] == {"tol": 1e-4}
+    assert manifests["1e-10"]["inputs"] == {"tol": 1e-10}
+    assert manifests["1e-4"]["config_hash"] != manifests["1e-10"]["config_hash"]
+
+
+def test_cli_extrapolate_manifest_records_what_it_reads(tmp_path, capsys):
+    manifests = {}
+    for a in ("29.9", "30.0"):
+        out_dir = tmp_path / a
+        code, _, err = _run(capsys, ["extrapolate", "--a", a, "--b", "0.982", "--L", "40",
+                                     "--out-dir", str(out_dir)])
+        assert code == 0, err
+        manifests[a] = json.loads((out_dir / "run_manifest.json").read_text())
+    manifest = manifests["29.9"]
+    assert manifest["inputs"] == {"a": 29.9, "b": 0.982, "L": 40, "circuit_layers": 40,
+                                  "gate_clock_hz": 1e4, "reference_shots": None}
+    # no model section: extrapolate never reads model.L
+    assert manifest["config"] == {"output": {"directory": str(tmp_path / "29.9"),
+                                             "formats": ["csv", "json"]}}
+    assert manifests["29.9"]["config_hash"] != manifests["30.0"]["config_hash"]
+
+
+def test_cli_manifest_hash_of_settings_only_commands_is_unchanged(tmp_path, capsys):
+    # sweep, gfmc and scan hash their config alone, as scaling_summary.json records it
+    out_dir = tmp_path / "gf"
+    code, _, err = _run(capsys, ["gfmc", "--L", "4", "--chain-length", "2000", "--warmup",
+                                 "100", "--replicates", "2", "--out-dir", str(out_dir)])
+    assert code == 0, err
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert "inputs" not in manifest
+    body = {k: v for k, v in manifest["config"].items() if k != "output"}
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert manifest["config_hash"] == hashlib.sha256(canon.encode()).hexdigest()
+
+
 def test_cli_scan_writes_csv_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "scanout"
     code, out, _ = _run(capsys, [
@@ -334,18 +406,41 @@ def test_cli_sweep_end_to_end_deterministic(tmp_path, capsys):
 
     d1 = run("a")
     d2 = run("b")
-    for name in ("sweep_points.csv", "e0_cache.json"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    assert (d1 / "sweep_points.csv").read_bytes() == (d2 / "sweep_points.csv").read_bytes()
+    assert not (d1 / "e0_cache.json").exists()
     s1 = json.loads((d1 / "scaling_summary.json").read_text())
     s2 = json.loads((d2 / "scaling_summary.json").read_text())
     assert s1 == s2
     assert s1["schema_version"] == "scaling_summary.v1"
     assert s1["provenance"]["base_seed"] == 11
     manifest = json.loads((d1 / "run_manifest.json").read_text())
-    assert set(manifest["outputs"]) >= {"sweep_points.csv", "scaling_summary.json",
-                                        "e0_cache.json"}
+    assert set(manifest["outputs"]) >= {"sweep_points.csv", "scaling_summary.json"}
     rows = (d1 / "sweep_points.csv").read_text().splitlines()
     assert len(rows) == 2 + 2 * 3
+
+
+@pytest.mark.parametrize("stale", [
+    '{"schema_version": "e0_cache.v1", "entries": {"(4,1.0,1.0)": '
+    '{"E0": -5.0, "residual": 0.0, "tol": 1e-10, "iterations": 1}}}',
+    "[]",
+    '{"entries": {"(4,1.0,1.0)": {"E0": -5.0}}}',
+    "not json",
+], ids=["stale-entry", "list", "entry-without-residual", "not-json"])
+def test_cli_sweep_ignores_what_the_output_directory_holds(tmp_path, capsys, stale):
+    argv = ["sweep", "--trial", "jastrow", "--L", "4", "--M", "60,120", "--replicates", "2",
+            "--chain-length", "2000", "--seed", "11", "--threads", "1"]
+    fresh = tmp_path / "fresh"
+    code, fresh_out, err = _run(capsys, [*argv, "--out-dir", str(fresh)])
+    assert code == 0, err
+    used = tmp_path / "used"
+    used.mkdir()
+    (used / "e0_cache.json").write_text(stale)
+    code, used_out, err = _run(capsys, [*argv, "--out-dir", str(used)])
+    assert code == 0, err
+    assert used_out == fresh_out
+    for name in ("sweep_points.csv", "scaling_summary.json"):
+        assert (used / name).read_bytes() == (fresh / name).read_bytes()
+    assert (used / "e0_cache.json").read_text() == stale
 
 
 def test_cli_requires_subcommand(capsys):

@@ -198,6 +198,12 @@ def test_config_invariants():
         auto_lambda_shift(TfiModel(4, Gamma=0.0))
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_resolve_lambda_shift_rejects_non_finite(lam):
+    with pytest.raises(ValueError, match="lambda_shift must be finite"):
+        GfmcConfig(lambda_shift=lam).resolve_lambda_shift(TfiModel(4))
+
+
 def test_run_chain_zero_variance():
     m = TfiModel(6)
     gs = ground_state(m)

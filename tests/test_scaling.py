@@ -270,22 +270,28 @@ def test_write_sweep_csv_roundtrip(tmp_path):
         assert float(row[6]) == est - e0
 
 
-def test_reference_energy_cache(tmp_path):
-    path = tmp_path / "e0.json"
+def test_reference_energy_cache():
     m = TfiModel(4)
-    e0 = reference_energy(m, tol=1e-10, cache_path=path)
-    assert e0 == pytest.approx(ground_state(m).energy, abs=1e-10)
-    data = json.loads(path.read_text())
-    key = "(4,1.0,1.0)"
-    assert key in data["entries"]
-    # prove the cache is actually consulted: poison it and read back
-    data["entries"][key]["E0"] = -123.0
-    data["entries"][key]["residual"] = 1e-15
-    path.write_text(json.dumps(data))
-    assert reference_energy(m, tol=1e-10, cache_path=path) == -123.0
-    # a tighter tolerance than the stored residual forces a recompute
-    data["entries"][key]["residual"] = 1e-6
-    path.write_text(json.dumps(data))
-    assert reference_energy(m, tol=1e-10, cache_path=path) == pytest.approx(
-        ground_state(m).energy, abs=1e-10
-    )
+    assert reference_energy(m) == pytest.approx(ground_state(m).energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": float("nan")}, {"b": float("nan")}, {"b": float("inf")}, {"a": float("inf")},
+])
+def test_extrapolate_runtime_rejects_non_finite_inputs(bad):
+    args = {"a": 29.9, "b": 0.982, "L": 40, "circuit_layers": 40, "gate_clock_hz": 1e4,
+            **bad}
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        extrapolate_runtime(**args)
+
+
+@pytest.mark.parametrize("bad", [
+    {"shots": float("inf")}, {"shots": float("nan")},
+    {"gate_clock_hz": float("inf")}, {"gate_clock_hz": float("nan")},
+])
+def test_runtime_for_shots_rejects_non_finite_inputs(bad):
+    args = {"shots": 1.6e13, "circuit_layers": 40, "gate_clock_hz": 1e4, **bad}
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        runtime_for_shots(**args)
