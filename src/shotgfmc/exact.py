@@ -62,8 +62,8 @@ def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
 
 def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> GroundStateResult:
     """Lowest eigenpair of H, converged to residual norm <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = m.n_states
     H = _HamiltonianAction(m)
     # Krylov basis: row j is the j-th Lanczos vector

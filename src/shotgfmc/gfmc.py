@@ -10,8 +10,14 @@ the plain chain average of e is also exposed.
 The walker can only step onto states with nonzero amplitude, so tables
 with zero entries (shot-noise tables) confine the walk to the measured
 support. Walkers that share a model and a config are stepped together as
-one population (``_kernels.chain_fill``); every walker keeps its own
-table and generator, so its record does not depend on the population.
+one population (``_kernels.chain_fill``), one kernel iteration per run of
+stays: most steps leave the walker where it is, and such a run repeats
+one (state, b) pair, so the kernel tests a run's uniforms against the
+stay weight together and records the run at once. The stay test is the
+same product and comparison as the per-step inverse CDF, each uniform
+is used at its own step, and every walker keeps its own table and draws
+its own stream in the same blocks, so its record is bit-identical to the
+single-walker loop's and does not depend on the population.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,8 @@ DEFAULT_REWEIGHT_WINDOW = 100
 # refresh cadence of the sliding log-weight sum (drift control)
 _WINDOW_RECOMPUTE_EVERY = 10_000
 
-# largest b record one population may hold; callers split bigger batches
+# largest b record one population may hold, as its (walkers, steps)
+# array of float64; callers split bigger batches
 POPULATION_RECORD_BYTES = 8 << 20
 
 
@@ -123,12 +130,13 @@ def _draw_initial_state(t: AmplitudeTable, rng: np.random.Generator) -> int:
 
 
 def max_population(cfg: GfmcConfig) -> int:
-    """Most walkers whose b records fit in POPULATION_RECORD_BYTES (at least 1)."""
+    """Most walkers whose b records, one row of chain_length - warmup
+    float64 per walker, fit in POPULATION_RECORD_BYTES (at least 1)."""
     return max(1, POPULATION_RECORD_BYTES // (8 * (cfg.chain_length - cfg.warmup)))
 
 
 def run_chain(cfg: GfmcConfig, tables, m: TfiModel, rngs) -> list[ChainRecord]:
-    """Generate a population of chains stepped in lockstep, one per table.
+    """Generate a population of chains, one per table.
 
     tables and rngs are matching sequences: walker w runs on tables[w]
     and draws from rngs[w]. Every walker draws its initial state from
@@ -136,7 +144,8 @@ def run_chain(cfg: GfmcConfig, tables, m: TfiModel, rngs) -> list[ChainRecord]:
     chain_length uniforms from its own generator; its record covers steps
     warmup .. chain_length-1. A walker's record is a function of (config,
     table, model, generator state) alone, bit for bit, whatever
-    population it runs in.
+    population it runs in. Each record's arrays are C-contiguous rows of
+    the population's (walkers, steps) arrays.
     """
     tables, rngs = list(tables), list(rngs)
     if not tables or len(tables) != len(rngs):
@@ -147,13 +156,12 @@ def run_chain(cfg: GfmcConfig, tables, m: TfiModel, rngs) -> list[ChainRecord]:
     x = np.array([_draw_initial_state(table, r) for table, r in zip(tables, rngs)],
                  dtype=np.int64)
     n_rec = cfg.chain_length - cfg.warmup
-    states = np.empty((n_rec, len(tables)), dtype=np.int64)
-    bvals = np.empty((n_rec, len(tables)))
+    # one contiguous row per walker
+    states = np.empty((len(tables), n_rec), dtype=np.int64)
+    bvals = np.empty((len(tables), n_rec))
     chain_fill(np.stack([table.amps for table in tables]),
                lam - all_diagonal_energies(m), m.Gamma, cfg.warmup, x, rngs,
                states, bvals)
-    # one contiguous row per walker
-    states, bvals = np.ascontiguousarray(states.T), np.ascontiguousarray(bvals.T)
     evals = lam - bvals
     return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam)
             for w in range(len(tables))]

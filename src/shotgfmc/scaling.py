@@ -89,8 +89,8 @@ def _run_replicate(task):
     """Pool task: one population of (M, rep) walkers at one L.
 
     Every walker samples its own frozen shot table from the shared trial
-    probabilities p with its own generator; the population then runs in
-    lockstep.
+    probabilities p with its own generator; the population then runs as
+    one run_chain call.
     The name predates populations; perfbench/tracing.py wraps it by name.
     """
     m, cfg, p, walkers, base_seed, estimator = task

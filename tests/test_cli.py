@@ -231,6 +231,14 @@ def test_cli_ed_bad_size(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cli_ed_rejects_non_finite_tolerance(capsys, tol):
+    code, out, err = _run(capsys, ["ed", "--L", "10", "--tol", tol])
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cli_extrapolate_both_paths(capsys):
     code, out, _ = _run(capsys, [
         "extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40",

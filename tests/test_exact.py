@@ -63,6 +63,13 @@ def test_ground_state_rejects_bad_tol():
         ground_state(TfiModel(4), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_ground_state_rejects_non_finite_tol(tol):
+    # nan used to run every iteration; inf stopped after one, far from E0
+    with pytest.raises(ValueError, match="finite"):
+        ground_state(TfiModel(4), tol=tol)
+
+
 def test_apply_hamiltonian_linearity():
     m = TfiModel(6)
     rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shotgfmc.exact import ground_state
-from shotgfmc._kernels import sliding_window_sums
+from shotgfmc._kernels import _RUN_WINDOW, _UNIFORM_BLOCK, sliding_window_sums
 from shotgfmc.gfmc import (
     _WINDOW_RECOMPUTE_EVERY,
     ChainRecord,
@@ -325,6 +325,97 @@ def test_cdf_top_fallback_matches_scalar():
             assert rec.b_values.tobytes() == bvals.tobytes()
         assert len(np.unique(records[0].states)) > 1
         assert np.all(records[-1].states == (1 << m.L) - 2)
+
+
+class _ScriptedUniforms:
+    """Generator stand-in that hands out a preset sequence of uniforms in
+    order and logs the size of every draw."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        n = 1 if size is None else size
+        if self.used + n > len(self.values):
+            raise AssertionError("script exhausted")
+        out = self.values[self.used:self.used + n].copy()
+        self.used += n
+        return out[0] if size is None else out
+
+
+# u*STAY is far below every stay weight and u*MOVE above it wherever a flip
+# weight is positive, so a scripted step with STAY stays and one with MOVE
+# moves on a full-support table
+STAY = 1e-9
+MOVE = 1.0 - 2.0 ** -20
+K = _RUN_WINDOW
+B = _UNIFORM_BLOCK
+
+# (chain_length, warmup, stay runs [lo, hi) each followed by a move at hi)
+RUN_SCRIPTS = {
+    "ends-on-block-boundary": (2 * B + 300, 30, [(B - 40, B), (2 * B - 9, 2 * B - 1)]),
+    "crosses-block-boundary": (2 * B + 300, 30, [(B - 5, B + 11), (2 * B - 1, 2 * B + 2)]),
+    "straddles-warmup": (B + 200, 40, [(30, 50), (B - 3, B + 1)]),
+    "warmup-zero": (B + 200, 0, [(0, 12), (B - 1, B)]),
+    "longer-than-window": (B + 400, 20, [(100, 100 + 3 * K + 1), (B - 2 * K, B + K),
+                                         (B + 300, B + 300 + K)]),
+    "chain-ends-in-a-run": (B + 100, 10, [(B - 20, B - 12), (B + 60, B + 100)]),
+}
+
+
+def _script(n_steps, seed, runs):
+    """The initial-state uniform, then one per step, with the runs forced."""
+    u = np.random.default_rng(seed).random(n_steps + 1)
+    for lo, hi in runs:
+        u[1 + lo:1 + hi] = STAY
+        if hi < n_steps:
+            u[1 + hi] = MOVE
+    return u
+
+
+@pytest.mark.parametrize("name", RUN_SCRIPTS)
+def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
+    # a mixed population: full-support tables that move on every MOVE, a
+    # shot-noise table, and a single-state support that never moves, so
+    # the walkers finish on different iterations of the kernel
+    chain_length, warmup, runs = RUN_SCRIPTS[name]
+    cfg = GfmcConfig(chain_length=chain_length, warmup=warmup, l_reweight=10)
+    m, tables = _population_tables()[1]
+    tables = [tables[0], tables[1], tables[3], tables[-1]]
+    scripts = [_script(chain_length, 60 + w, runs) for w in range(len(tables))]
+    rngs = [_ScriptedUniforms(u) for u in scripts]
+    records = run_chain(cfg, tables, m, rngs)
+    n_blocks = -(-chain_length // B)
+    for t, u, rng, rec in zip(tables, scripts, rngs, records):
+        states, bvals = _scalar_chain(cfg, t, m, _ScriptedUniforms(u))
+        assert rec.states.tobytes() == states.tobytes()
+        assert rec.b_values.tobytes() == bvals.tobytes()
+        # every uniform is drawn, in blocks of B from the first step on
+        assert rng.used == len(u)
+        assert rng.sizes == [None] + [B] * (n_blocks - 1) + [chain_length - (n_blocks - 1) * B]
+    for rec in records[:2]:
+        # the forced runs hold still and the step after each one moves
+        for lo, hi in runs:
+            lo, hi = max(lo - warmup, 0), hi - warmup
+            assert np.all(rec.states[lo:hi + 1] == rec.states[lo])
+            assert np.all(rec.b_values[lo:hi + 1] == rec.b_values[lo])
+            if hi + 1 < len(rec):
+                assert rec.states[hi + 1] != rec.states[hi]
+    assert np.all(records[-1].states == (1 << m.L) - 2)
+
+
+def test_chain_records_are_contiguous_rows():
+    m, tables = _population_tables()[1]
+    cfg = GfmcConfig(chain_length=1200, warmup=25, l_reweight=10)
+    records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in range(len(tables))])
+    for rec in records:
+        for values in (rec.states, rec.b_values, rec.e_values):
+            assert values.ndim == 1 and len(values) == cfg.chain_length - cfg.warmup
+            assert values.flags.c_contiguous
+        assert rec.e_values.tobytes() == (rec.lambda_shift - rec.b_values).tobytes()
 
 
 def test_run_chain_population_validation():
