@@ -45,10 +45,10 @@ from .scaling import (
 )
 from .seeding import derive_seed
 from .shots import (
-    CSV_CHUNK_ROWS,
     local_energy_scan,
     noisy_amplitudes,
     sample_counts,
+    write_csv_rows,
     write_scan_csv,
 )
 from .trial import JastrowParams, build_table
@@ -241,17 +241,10 @@ def _cmd_gfmc(args) -> int:
 
 def _write_chain_csv(path: str, record) -> None:
     """One (n, state, b, e) row per recorded step; floats as their repr."""
-    with open(path, "w") as f:
-        f.write("# schema=chain_record.v1\n")
-        f.write("n,state,b,e\n")
-        for lo in range(0, len(record), CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            f.write("".join([
-                f"{n},{x},{b!r},{e!r}\n"
-                for n, x, b, e in zip(range(lo, hi), record.states[lo:hi].tolist(),
-                                      record.b_values[lo:hi].tolist(),
-                                      record.e_values[lo:hi].tolist())
-            ]))
+    with open(path, "wb") as f:
+        f.write(b"# schema=chain_record.v1\nn,state,b,e\n")
+        write_csv_rows(f, [np.arange(len(record)), b",", record.states, b",",
+                           record.b_values, b",", record.e_values, b"\n"])
 
 
 def _cmd_sweep(args) -> int:

@@ -5,6 +5,11 @@ sample (sequential conditional binomials, O(2^L) work independent of M),
 and sqrt(counts/M) becomes the shot-noise amplitude table. One table is
 drawn per realization and frozen; unmeasured states keep amplitude
 exactly zero and are never flooded with an epsilon.
+
+The package's CSV rows with float cells (the local-energy scan here and
+the ``gfmc --dump-chain`` records) are built by ``write_csv_rows``: each
+float is written as its repr, computed once per distinct bit pattern, and
+rows are joined as bytes in numpy, CSV_CHUNK_ROWS at a time.
 """
 
 from dataclasses import dataclass
@@ -23,8 +28,7 @@ NA_TOKEN = "NA"
 
 SCAN_SCHEMA = "local_energy_scan.v1"
 
-# rows formatted per write by the CSV writers; bounds the row strings
-# held at once
+# rows joined per write by write_csv_rows; bounds the row bytes held at once
 CSV_CHUNK_ROWS = 4096
 
 
@@ -111,34 +115,77 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
                            e_exact, noisy_amp, noisy_eloc)
 
 
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """repr of every float of x as a (len(x), width) NUL-padded uint8 matrix.
+
+    repr runs once per distinct bit pattern (np.unique on the int64 view,
+    so -0.0 and 0.0 stay apart); every NaN becomes NA_TOKEN.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    words = np.array([NA_TOKEN if v != v else repr(v)
+                      for v in bits.view(np.float64).tolist()], dtype="S")
+    return words[inverse].view(np.uint8).reshape(len(x), words.itemsize)
+
+
+def _int_words(v: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in decimal, right-aligned in a NUL-padded uint8
+    matrix as wide as the largest one."""
+    v = np.asarray(v, dtype=np.int64)[:, None]
+    width = len(str(int(v.max())))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][v < powers[:-1]] = 0  # leading zeros
+    return digits
+
+
+def _row_matrix(cells, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of cells, side by side, as one NUL-padded uint8 matrix."""
+    parts = []
+    for c in cells:
+        if isinstance(c, bytes):
+            c = np.broadcast_to(np.frombuffer(c, np.uint8), (hi - lo, len(c)))
+        elif c.ndim == 1:
+            c = _float_words(c[lo:hi]) if c.dtype.kind == "f" else _int_words(c[lo:hi])
+        else:
+            c = c[lo:hi]
+        parts.append(c)
+    return np.concatenate(parts, axis=1)
+
+
+def write_csv_rows(f, cells) -> None:
+    """Write rows to the binary file f, CSV_CHUNK_ROWS at a time.
+
+    A cell is bytes written in every row (separators included), a
+    (rows, width) uint8 matrix of NUL-padded words formatted beforehand,
+    or a float or nonnegative integer column, formatted one chunk at a
+    time. No word holds a NUL byte, so dropping the padding joins the
+    cells.
+    """
+    n = next(len(c) for c in cells if not isinstance(c, bytes))
+    for lo in range(0, n, CSV_CHUNK_ROWS):
+        rows = _row_matrix(cells, lo, min(lo + CSV_CHUNK_ROWS, n)).ravel()
+        f.write(rows[rows != 0])
+
+
 def write_scan_csv(scan: LocalEnergyScan, path) -> None:
     """Rows in (rep, rank) order; undefined local energies become NA.
 
-    Columns are put in rank order and turned into Python floats once per
-    array, every float is written as its repr, and rows go out in chunks
-    of CSV_CHUNK_ROWS.
+    Every float is written as its repr, once per distinct value in what
+    is formatted at once: rank, state, exact_amp and exact_eloc once per
+    file, noisy_amp (a few hundred distinct sqrt(k/M)) once per
+    replicate, and noisy_eloc (mostly distinct) once per chunk of rows,
+    which bounds the memory its words take.
     """
     order = scan.order
-    # rank, state, exact_amp and exact_eloc are the same in every replicate
-    heads = [f"{rank},{state},{amp!r}" for rank, (state, amp) in
-             enumerate(zip(order.tolist(), scan.exact_amp[order].tolist()))]
-    exact_eloc = [repr(e) for e in scan.exact_eloc[order].tolist()]
-    tail = f"{scan.L},{scan.M0},{scan.seed}\n"
-    with open(path, "w", newline="") as f:
-        f.write(f"# schema={SCAN_SCHEMA}\n")
-        f.write("rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
+    n = len(order)
+    head = _row_matrix([np.arange(n), b",", order, b",", scan.exact_amp[order], b","], 0, n)
+    exact_eloc = _float_words(scan.exact_eloc[order])
+    tail = f",{scan.L},{scan.M0},{scan.seed}\n".encode()
+    with open(path, "wb") as f:
+        f.write(f"# schema={SCAN_SCHEMA}\n".encode())
+        f.write(b"rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
         for rep in range(scan.reps):
-            noisy_amp = scan.noisy_amp[rep, order].tolist()
-            noisy_eloc = scan.noisy_eloc[rep, order].tolist()
-            # amplitudes are sqrt(k/M) >= +0 for the few distinct counts k, so
-            # one repr per distinct value serves the whole replicate
-            amp_txt = {a: repr(a) for a in set(noisy_amp)}
-            prefix = f"{rep},"
-            for lo in range(0, len(heads), CSV_CHUNK_ROWS):
-                hi = lo + CSV_CHUNK_ROWS
-                eloc_txt = [NA_TOKEN if e != e else repr(e) for e in noisy_eloc[lo:hi]]
-                f.write("".join([
-                    f"{prefix}{head},{amp_txt[a]},{ee},{ne},{tail}"
-                    for head, a, ee, ne in zip(heads[lo:hi], noisy_amp[lo:hi],
-                                               exact_eloc[lo:hi], eloc_txt)
-                ]))
+            noisy_amp = _float_words(scan.noisy_amp[rep, order])
+            write_csv_rows(f, [f"{rep},".encode(), head, noisy_amp, b",", exact_eloc, b",",
+                               scan.noisy_eloc[rep, order], tail])

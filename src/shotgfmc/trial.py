@@ -100,6 +100,15 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
     if v.sum() < 0:
         v = -v
     v = v / np.linalg.norm(v)
+    negative = v < 0
+    if negative.any():
+        # roundoff where the true amplitude is zero (Gamma = 0) or lies below
+        # the solver's accuracy; clipping would hide a trial that is not exact
+        raise ValueError(
+            f"exact-groundstate trial at model.Gamma = {m.Gamma!r}: the ground-state "
+            f"vector has {int(negative.sum())} negative entries, the most negative "
+            f"{float(v.min()):.3g}: roundoff on amplitudes that are zero or below the "
+            "solver's accuracy; use a larger model.Gamma")
     return AmplitudeTable(m.L, v, "exact-groundstate")
 
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from shotgfmc import cli
+from shotgfmc import cli, shots
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
 from shotgfmc.exact import ground_state
@@ -304,6 +304,30 @@ def test_cli_manifest_hash_of_settings_only_commands_is_unchanged(tmp_path, caps
     assert manifest["config_hash"] == hashlib.sha256(canon.encode()).hexdigest()
 
 
+# Lanczos leaves roundoff-negative entries where the ground state's amplitudes
+# are zero (Gamma = 0, degenerate ground level) or below its accuracy
+@pytest.mark.parametrize("command", [
+    ["scan", "--M0", "1", "--reps", "2"],
+    ["gfmc", "--replicates", "2", "--chain-length", "1000", "--warmup", "100"],
+])
+@pytest.mark.parametrize("L, Gamma", [(4, 0.0), (12, 0.01)])
+def test_cli_exact_trial_names_negative_ground_state_entries(tmp_path, capsys, command,
+                                                             L, Gamma):
+    v = ground_state(TfiModel(L, Gamma=Gamma)).vector
+    v = v if v.sum() >= 0 else -v
+    assert (v < 0).any()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"L": L, "Gamma": Gamma},
+                               "trial": {"kind": "exact-groundstate"}}))
+    code, out, err = _run(capsys, [*command, "--config", str(cfg),
+                                   "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert out == ""
+    assert f"model.Gamma = {Gamma!r}" in err
+    assert f"{int((v < 0).sum())} negative entries" in err
+    assert "most negative -" in err
+
+
 def test_cli_scan_writes_csv_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "scanout"
     code, out, _ = _run(capsys, [
@@ -379,15 +403,39 @@ def test_cli_gfmc_rejects_several_shot_budgets(tmp_path, capsys):
     assert json.loads(out)["M"] == 300
 
 
-@pytest.mark.parametrize("chunk", [cli.CSV_CHUNK_ROWS, 7])
-def test_chain_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+def _chain_record(chain_length=6000):
     m = TfiModel(6)
     table = build_table("exact-groundstate", m, vector=ground_state(m).vector)
-    cfg = GfmcConfig(chain_length=6000, warmup=100, l_reweight=50)
-    record = run_chain(cfg, [table], m, [np.random.default_rng(5)])[0]
-    assert len(record) > cli.CSV_CHUNK_ROWS
+    cfg = GfmcConfig(chain_length=chain_length, warmup=100, l_reweight=50)
+    return run_chain(cfg, [table], m, [np.random.default_rng(5)])[0]
+
+
+@pytest.mark.parametrize("chunk", [shots.CSV_CHUNK_ROWS, 7])
+def test_chain_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, row_chunks, chunk):
+    monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", chunk)
+    record = _chain_record()
+    assert len(record) > shots.CSV_CHUNK_ROWS
     cli._write_chain_csv(str(tmp_path / "fast.csv"), record)
+    assert row_chunks == [(lo, min(lo + chunk, len(record)))
+                          for lo in range(0, len(record), chunk)]
+    write_chain_csv_rows(record, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_chain_csv_run_of_stays_across_a_chunk_boundary(tmp_path, monkeypatch, row_chunks):
+    # one (state, b, e) row repeated on both sides of a chunk boundary: each
+    # chunk formats its own words, and both must match the row loop
+    record = _chain_record(3000)
+    starts = np.flatnonzero(np.diff(record.states, prepend=-1))
+    lengths = np.diff(starts, append=len(record))
+    longest = int(np.argmax(lengths))
+    assert lengths[longest] >= 4
+    chunk = int(starts[longest] + lengths[longest] // 2)
+    monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", chunk)
+    cli._write_chain_csv(str(tmp_path / "fast.csv"), record)
+    assert row_chunks[1][0] == chunk
+    assert record.states[chunk - 1] == record.states[chunk]
+    assert record.b_values[chunk - 1] == record.b_values[chunk]
     write_chain_csv_rows(record, tmp_path / "rows.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 

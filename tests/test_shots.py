@@ -219,20 +219,39 @@ def test_scan_rejects_partial_support():
         local_energy_scan(m, partial, M0=2, reps=2, seed=0)
 
 
+# NaNs that are not the default quiet NaN: a payload, and a set sign bit
+_PAYLOAD_NANS = np.array([0x7FF8_0000_0000_BEEF, -0x0008_0000_0000_0001],
+                         dtype=np.int64).view(np.float64)
+
+
 def _synthetic_scan(L, reps):
-    """A scan table with NA rows, tied amplitudes and exponent-form reprs."""
+    """A scan table with the cases a writer that formats each distinct value
+    once can get wrong: NA rows (two of them NaNs with a non-default bit
+    pattern), -0.0 next to 0.0, values shared across replicates and across
+    columns, tied amplitudes and exponent-form reprs."""
     n = 1 << L
     rng = np.random.default_rng(L)
     exact_amp = rng.random(n) + 0.01
     exact_amp[n // 2:] = exact_amp[0]  # ties broken by state index
-    exact_amp[1] = 1e-05
+    exact_amp[3] = exact_amp[2]        # states 2 and 3 on adjacent rows
     M = 10 ** 12
+    exact_amp[1] = np.sqrt(100 / M)   # 1e-05, also a noisy_amp below
     counts = rng.integers(0, 3, size=(reps, n))
     counts[:, 0] = 1  # noisy_amp 1e-06
+    counts[0, 1] = 100
+    counts[:, -1] = 2
+    counts[:, 4:6] = 0  # unmeasured in every replicate (L >= 3)
     noisy_eloc = np.where(counts > 0, rng.normal(-1.0, 1.0, size=(reps, n)), np.nan)
     noisy_eloc[:, 0] = -2.5e-17
+    noisy_eloc[:, 2] = -0.0
+    noisy_eloc[:, 3] = 0.0
+    for rep_eloc in noisy_eloc:
+        nan_rows = np.flatnonzero(np.isnan(rep_eloc))[:2]
+        rep_eloc[nan_rows] = _PAYLOAD_NANS[:len(nan_rows)]
+    noisy_eloc[1:, -1] = noisy_eloc[0, -1]  # shared across replicates
     exact_eloc = np.full(n, -1.2345678901234567)
     exact_eloc[-1] = 3e+16
+    exact_eloc[0] = noisy_eloc[0, -1]       # shared across columns
     order = np.lexsort((np.arange(n), -exact_amp))
     return LocalEnergyScan(L, 7, M, reps, 11, order, exact_amp, exact_eloc,
                            np.sqrt(counts / M), noisy_eloc)
@@ -240,17 +259,26 @@ def _synthetic_scan(L, reps):
 
 @pytest.mark.parametrize("L, reps, chunk", [
     (2, 3, shots.CSV_CHUNK_ROWS),
-    (4, 2, 5),                      # chunks end inside a replicate
+    (4, 2, 5),                      # chunks end inside a replicate; rank 9 -> 10
     (13, 2, shots.CSV_CHUNK_ROWS),  # a replicate spans two full chunks
+    (3, 12, 3),                     # rep numbers 9 -> 10 gain a digit
 ])
-def test_scan_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, L, reps, chunk):
+def test_scan_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, row_chunks,
+                                              L, reps, chunk):
     monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", chunk)
     scan = _synthetic_scan(L, reps)
+    bits = set(scan.noisy_eloc.view(np.int64).ravel().tolist())
+    assert L < 3 or set(_PAYLOAD_NANS.view(np.int64).tolist()) <= bits
     write_scan_csv(scan, tmp_path / "fast.csv")
+    # the per-file head columns, then each replicate's rows chunk by chunk
+    n = 1 << L
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    assert row_chunks == [(0, n)] + spans * reps
     write_scan_csv_rows(scan, tmp_path / "rows.csv")
     text = (tmp_path / "fast.csv").read_text()
     assert f",{NA_TOKEN}," in text and "1e-05" in text and "1e-06" in text
     assert "-2.5e-17" in text and "3e+16" in text
+    assert ",-0.0," in text and ",0.0," in text and "nan" not in text
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -262,4 +290,16 @@ def test_scan_csv_bytes_match_row_loop_oracle_on_a_scan(tmp_path, L):
     scan = local_energy_scan(m, trial, M0=1, reps=3, seed=4)
     write_scan_csv(scan, tmp_path / "fast.csv")
     write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_scan_csv_writes_negative_zero_local_energy(tmp_path):
+    # -J * 0 = -0.0 on a state with zero bond sum and no measured neighbour
+    m = TfiModel(4)
+    trial = build_table("exact-groundstate", m, vector=ground_state(m).vector)
+    scan = local_energy_scan(m, trial, M0=1, reps=3, seed=0)
+    assert np.any((scan.noisy_eloc == 0.0) & np.signbit(scan.noisy_eloc))
+    write_scan_csv(scan, tmp_path / "fast.csv")
+    write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    assert ",-0.0,4,1,0\n" in (tmp_path / "fast.csv").read_text()
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

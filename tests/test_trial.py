@@ -106,6 +106,20 @@ def test_groundstate_table_l2_hand_values():
     assert np.all(t.amps > 0)
 
 
+def test_groundstate_table_rejects_negative_entries_by_name():
+    m = TfiModel(2, Gamma=0.25)
+    vector = np.array([0.9, -1e-16, -3e-17, 0.4])
+    with pytest.raises(ValueError) as info:
+        build_table("exact-groundstate", m, vector=vector)
+    message = str(info.value)
+    assert "model.Gamma = 0.25" in message
+    assert "2 negative entries" in message
+    assert f"{-1e-16 / np.linalg.norm(vector):.3g}" in message
+    # an all-negative vector is the same state with the other sign
+    t = build_table("exact-groundstate", m, vector=-np.abs(vector))
+    assert np.all(t.amps >= 0)
+
+
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         build_table("jastrow", TfiModel(8), params=JastrowParams(200.0, 0.0))
