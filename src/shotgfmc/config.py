@@ -131,7 +131,7 @@ class RunConfig:
         if self.M_list is not None:
             _require(len(self.M_list) >= 1 and all(isinstance(v, int) and v >= 1 for v in self.M_list),
                      "noise.M must be a nonempty list of integers >= 1")
-        _require(self.replicates >= 2, "experiment.replicates must be >= 2")
+        _require(self.replicates >= 1, "experiment.replicates must be >= 1")
         _require(len(self.targets) >= 1 and all(t > 0 for t in self.targets),
                  "experiment.targets must be a nonempty list of positive numbers")
         _require(len(self.fit_window) == 2 and 0 < self.fit_window[0] < self.fit_window[1],

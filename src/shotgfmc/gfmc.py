@@ -16,7 +16,7 @@ one (state, b) pair, so the kernel tests a run's uniforms against the
 stay weight together and records the run at once. The stay test is the
 same product and comparison as the per-step inverse CDF, each uniform
 is used at its own step, and every walker keeps its own table and draws
-its own stream in the same blocks, so its record is bit-identical to the
+its whole stream in one call, so its record is bit-identical to the
 single-walker loop's and does not depend on the population.
 """
 
@@ -131,7 +131,11 @@ def _draw_initial_state(t: AmplitudeTable, rng: np.random.Generator) -> int:
 
 def max_population(cfg: GfmcConfig) -> int:
     """Most walkers whose b records, one row of chain_length - warmup
-    float64 per walker, fit in POPULATION_RECORD_BYTES (at least 1)."""
+    float64 per walker, fit in POPULATION_RECORD_BYTES (at least 1).
+
+    The cap also bounds the population's uniforms, chain_length + 8
+    float64 per walker, which chain_fill frees before run_chain builds
+    the e records."""
     return max(1, POPULATION_RECORD_BYTES // (8 * (cfg.chain_length - cfg.warmup)))
 
 

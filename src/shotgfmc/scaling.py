@@ -137,6 +137,8 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         raise ValueError("need at least 2 replicates for a standard error")
     if threads is None:
         threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     tasks = []
     e0_per_site = {}
@@ -154,7 +156,7 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         ms = default_m_grid(L, trial_kind) if m_grid is None else m_grid
         walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
         p = trial.probabilities
-        width = min(-(-len(walkers) // max(threads, 1)), max_population(base_cfg))
+        width = min(-(-len(walkers) // threads), max_population(base_cfg))
         for i in range(0, len(walkers), width):
             tasks.append((m, cfg, p, walkers[i:i + width], base_seed, estimator))
 

@@ -138,6 +138,53 @@ def test_config_malformed_file(tmp_path):
         parse_config(tmp_path / "missing.json")
 
 
+def test_config_rejects_zero_replicates():
+    assert from_dict({"experiment": {"replicates": 1}}).replicates == 1
+    with pytest.raises(ConfigError, match="experiment.replicates"):
+        from_dict({"experiment": {"replicates": 0}})
+
+
+def test_cli_scan_runs_one_replicate(tmp_path, capsys):
+    code, _, err = _run(capsys, ["scan", "--L", "4", "--M0", "1", "--reps", "1",
+                                 "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    lines = (tmp_path / "local_energy_scan.csv").read_text().splitlines()
+    assert len(lines) == 2 + 16
+    assert {line.split(",")[0] for line in lines[2:]} == {"0"}
+
+
+def test_cli_gfmc_one_replicate_omits_std_error(capsys):
+    code, out, err = _run(capsys, ["gfmc", "--L", "4", "--replicates", "1",
+                                   "--chain-length", "1000", "--warmup", "100"])
+    assert code == 0, err
+    payload = json.loads(out)
+    for estimator in ("reweighted", "average"):
+        assert len(payload[estimator]["per_replicate"]) == 1
+        assert payload[estimator]["mean"] == payload[estimator]["per_replicate"][0]
+        assert "std_error" not in payload[estimator]
+
+
+def test_cli_sweep_rejects_one_replicate(tmp_path, capsys):
+    code, out, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "60,120", "--replicates", "1",
+        "--chain-length", "2000", "--threads", "1", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert out == ""
+    assert "at least 2 replicates" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_cli_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
+    code, out, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
+        "--chain-length", "2000", "--threads", threads, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert out == ""
+    assert f"threads must be >= 1, got {threads}" in err
+
+
 def test_config_rejects_non_object_section():
     with pytest.raises(ConfigError, match="config.model must be a JSON object"):
         from_dict({"model": 5})

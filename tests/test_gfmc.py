@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shotgfmc.exact import ground_state
-from shotgfmc._kernels import _RUN_WINDOW, _UNIFORM_BLOCK, sliding_window_sums
+from shotgfmc._kernels import _RUN_WINDOW, sliding_window_sums
 from shotgfmc.gfmc import (
     _WINDOW_RECOMPUTE_EVERY,
     ChainRecord,
@@ -352,7 +352,9 @@ class _ScriptedUniforms:
 STAY = 1e-9
 MOVE = 1.0 - 2.0 ** -20
 K = _RUN_WINDOW
-B = _UNIFORM_BLOCK
+# the kernel once drew its uniforms in blocks of 1024; the scripts still
+# put runs at and across those steps
+B = 1024
 
 # (chain_length, warmup, stay runs [lo, hi) each followed by a move at hi)
 RUN_SCRIPTS = {
@@ -388,14 +390,13 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
     scripts = [_script(chain_length, 60 + w, runs) for w in range(len(tables))]
     rngs = [_ScriptedUniforms(u) for u in scripts]
     records = run_chain(cfg, tables, m, rngs)
-    n_blocks = -(-chain_length // B)
     for t, u, rng, rec in zip(tables, scripts, rngs, records):
         states, bvals = _scalar_chain(cfg, t, m, _ScriptedUniforms(u))
         assert rec.states.tobytes() == states.tobytes()
         assert rec.b_values.tobytes() == bvals.tobytes()
-        # every uniform is drawn, in blocks of B from the first step on
+        # one draw for the initial state, then one for every step
         assert rng.used == len(u)
-        assert rng.sizes == [None] + [B] * (n_blocks - 1) + [chain_length - (n_blocks - 1) * B]
+        assert rng.sizes == [None, chain_length]
     for rec in records[:2]:
         # the forced runs hold still and the step after each one moves
         for lo, hi in runs:
@@ -405,6 +406,19 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
             if hi + 1 < len(rec):
                 assert rec.states[hi + 1] != rec.states[hi]
     assert np.all(records[-1].states == (1 << m.L) - 2)
+
+
+def test_run_chain_leaves_each_generator_as_one_long_draw_would():
+    m, tables = _population_tables()[1]
+    cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=10)
+    seeds = range(70, 70 + len(tables))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    run_chain(cfg, tables, m, rngs)
+    for seed, rng in zip(seeds, rngs):
+        fresh = np.random.default_rng(seed)
+        fresh.random()
+        fresh.random(cfg.chain_length)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_chain_records_are_contiguous_rows():

@@ -216,6 +216,9 @@ def test_run_sweep_validation():
         run_sweep([10], [4], "nope", cfg, replicates=2)
     with pytest.raises(ValueError):
         run_sweep([10], [4], "jastrow", cfg, replicates=2, estimator="bogus")
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_sweep([10], [4], "jastrow", cfg, replicates=2, threads=threads)
 
 
 def test_summarize_structure_and_json():
