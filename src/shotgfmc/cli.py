@@ -37,6 +37,7 @@ from .model import TfiModel
 from .scaling import (
     ESTIMATORS,
     TRIAL_KINDS,
+    check_sweep_args,
     run_sweep,
     runtime_for_shots,
     extrapolate_runtime,
@@ -250,6 +251,8 @@ def _write_chain_csv(path: str, record) -> None:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
+    # reject bad arguments before the output directory exists
+    check_sweep_args(cfg.trial_kind, cfg.replicates, cfg.estimator, args.threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
     points = run_sweep(
         cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),

@@ -4,15 +4,18 @@ Lanczos with full reorthogonalization on the O(L 2^L) matvec. The start
 vector is the uniform positive vector, so results are reproducible
 bit-for-bit; for Gamma > 0 the ground state is unique and strictly
 positive, and the returned vector is sign-fixed accordingly. At Gamma = 0
-the ground level is doubly degenerate and any normalized vector in that
-subspace may be returned; energies are still correct.
+the ground level is doubly degenerate and its flip-even member is returned.
 
-The matvec reads each flip neighbour v[x ^ 1<<k] with ``model.flip_bit``,
-two strided copies into one scratch vector, instead of gathering through
-an index array. The Krylov basis lives in the rows of one preallocated
-array (BASIS_CAPACITY rows, doubled when full), so reorthogonalization
-and the Ritz vector work on a view of the first rows and never copy the
-basis.
+H commutes with the global spin flip x -> mask ^ x, and the start vector is
+even under it, so Lanczos runs on the flip-even half: the 2^(L-1) states
+with the top bit clear, where flipping the top bit reads v[::-1]. That
+halves the matvec, the reorthogonalization and the Krylov basis (1 MiB per
+row at L = 18); the vector returned is (y, y[::-1]) / sqrt(2). The matvec
+reads the other flip neighbours v[x ^ 1<<k] with ``model.flip_bit``, two
+strided copies into one scratch vector. The Krylov basis lives in the rows
+of one preallocated array (BASIS_CAPACITY rows, doubled when full), so
+reorthogonalization and the Ritz vector work on a view of the first rows
+and never copy the basis.
 """
 
 from dataclasses import dataclass
@@ -35,18 +38,22 @@ class GroundStateResult:
 
 
 class _HamiltonianAction:
-    """Reusable matvec: diagonal part plus the L single-flip shifts."""
+    """Reusable matvec: diagonal plus the L single-flip shifts; folded, on the flip-even half."""
 
-    def __init__(self, m: TfiModel):
+    def __init__(self, m: TfiModel, folded: bool = False):
         self.m = m
-        self.diag = all_diagonal_energies(m)
-        self.flipped = np.empty(m.n_states)
+        self.bits = m.L - folded
+        self.diag = all_diagonal_energies(m)[:1 << self.bits]
+        self.flipped = np.empty(1 << self.bits)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         if self.m.Gamma != 0.0:
             for k in range(self.m.L):
-                flip_bit(v, k, self.flipped)
+                if k < self.bits:
+                    flip_bit(v, k, self.flipped)
+                else:
+                    np.copyto(self.flipped, v[::-1])
                 self.flipped *= self.m.Gamma
                 out -= self.flipped
         return out
@@ -64,8 +71,8 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
     """Lowest eigenpair of H, converged to residual norm <= tol."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    n = m.n_states
-    H = _HamiltonianAction(m)
+    n = m.n_states // 2
+    H = _HamiltonianAction(m, folded=True)
     # Krylov basis: row j is the j-th Lanczos vector
     V = np.empty((BASIS_CAPACITY, n))
     V[0] = 1.0 / np.sqrt(n)
@@ -99,7 +106,8 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
                 y = -y
             residual = float(np.linalg.norm(H(y) - theta * y))
             if residual <= tol:
-                return GroundStateResult(theta, y, residual, it)
+                vector = np.concatenate((y, y[::-1])) / np.sqrt(2.0)
+                return GroundStateResult(theta, vector, residual, it)
             # Ritz bound was optimistic; keep iterating unless exhausted
             if beta < 1e-14:
                 raise RuntimeError(

@@ -94,6 +94,9 @@ def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable
 def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
     """Wrap a precomputed ground-state vector (from the exact solver)."""
     _check_table_size(m)
+    if m.Gamma == 0:
+        raise ValueError(f"exact-groundstate trial at model.Gamma = {m.Gamma!r}: the ground "
+                         "level is degenerate (both ferromagnetic states); use model.Gamma > 0")
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != (m.n_states,):
         raise ValueError("ground-state vector has the wrong length")
@@ -102,13 +105,13 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
     v = v / np.linalg.norm(v)
     negative = v < 0
     if negative.any():
-        # roundoff where the true amplitude is zero (Gamma = 0) or lies below
-        # the solver's accuracy; clipping would hide a trial that is not exact
+        # roundoff where the true amplitude lies below the solver's accuracy;
+        # clipping would hide a trial that is not exact
         raise ValueError(
             f"exact-groundstate trial at model.Gamma = {m.Gamma!r}: the ground-state "
             f"vector has {int(negative.sum())} negative entries, the most negative "
-            f"{float(v.min()):.3g}: roundoff on amplitudes that are zero or below the "
-            "solver's accuracy; use a larger model.Gamma")
+            f"{float(v.min()):.3g}: roundoff on amplitudes below the solver's accuracy; "
+            "use a larger model.Gamma")
     return AmplitudeTable(m.L, v, "exact-groundstate")
 
 

@@ -172,6 +172,7 @@ def test_cli_sweep_rejects_one_replicate(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "at least 2 replicates" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -183,6 +184,7 @@ def test_cli_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
     assert code == 1
     assert out == ""
     assert f"threads must be >= 1, got {threads}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_non_object_section():
@@ -351,18 +353,19 @@ def test_cli_manifest_hash_of_settings_only_commands_is_unchanged(tmp_path, caps
     assert manifest["config_hash"] == hashlib.sha256(canon.encode()).hexdigest()
 
 
-# Lanczos leaves roundoff-negative entries where the ground state's amplitudes
-# are zero (Gamma = 0, degenerate ground level) or below its accuracy
+# Gamma = 0 has a degenerate ground level and is rejected whatever the vector;
+# at small Gamma Lanczos leaves roundoff-negative entries where the ground
+# state's amplitudes lie below its accuracy
 @pytest.mark.parametrize("command", [
     ["scan", "--M0", "1", "--reps", "2"],
     ["gfmc", "--replicates", "2", "--chain-length", "1000", "--warmup", "100"],
+    ["sweep", "--replicates", "2", "--chain-length", "2000", "--threads", "1"],
 ])
 @pytest.mark.parametrize("L, Gamma", [(4, 0.0), (12, 0.01)])
 def test_cli_exact_trial_names_negative_ground_state_entries(tmp_path, capsys, command,
                                                              L, Gamma):
     v = ground_state(TfiModel(L, Gamma=Gamma)).vector
     v = v if v.sum() >= 0 else -v
-    assert (v < 0).any()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"L": L, "Gamma": Gamma},
                                "trial": {"kind": "exact-groundstate"}}))
@@ -371,8 +374,15 @@ def test_cli_exact_trial_names_negative_ground_state_entries(tmp_path, capsys, c
     assert code == 1
     assert out == ""
     assert f"model.Gamma = {Gamma!r}" in err
-    assert f"{int((v < 0).sum())} negative entries" in err
-    assert "most negative -" in err
+    if Gamma == 0:
+        # the folded solve returns an exact, nonnegative vector at L = 4
+        assert not (v < 0).any()
+        assert "the ground level is degenerate" in err
+        assert "negative entries" not in err
+    else:
+        assert (v < 0).any()
+        assert f"{int((v < 0).sum())} negative entries" in err
+        assert "most negative -" in err
 
 
 def test_cli_scan_writes_csv_and_manifest(tmp_path, capsys):

@@ -15,17 +15,32 @@ def test_ground_state_l2_closed_form():
     assert gs.residual <= 1e-10
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 4, 6, 8, 10])
 def test_ground_state_matches_dense_oracle(L):
     m = TfiModel(L, J=1.1, Gamma=0.9)
     gs = ground_state(m)
     evals, evecs = np.linalg.eigh(dense_hamiltonian(L, 1.1, 0.9))
-    assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+    assert abs(gs.energy - evals[0]) <= 1e-12
     overlap = abs(float(evecs[:, 0] @ gs.vector))
-    assert overlap == pytest.approx(1.0, abs=1e-8)
+    assert overlap >= 1.0 - 1e-12
+    # the solve runs on the flip-even half, so the mirror image is exact
+    assert np.array_equal(gs.vector, gs.vector[::-1])
 
 
-@pytest.mark.parametrize("L", [6, 7, 8, 10, 12])
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
+def test_folded_action_is_the_full_action_on_flip_even_vectors(L, J, Gamma):
+    m = TfiModel(L, J=J, Gamma=Gamma)
+    rng = np.random.default_rng(200 + L)
+    half = rng.normal(size=1 << (L - 1))
+    half[rng.random(half.size) < 0.3] = 0.0
+    folded = exact._HamiltonianAction(m, folded=True)(half)
+    full = apply_hamiltonian(np.concatenate((half, half[::-1])), m)
+    assert np.array_equal(full[:half.size], folded)
+    assert np.array_equal(full[half.size:], folded[::-1])
+
+
+@pytest.mark.parametrize("L", [6, 7, 8, 10, 12, 14, 16])
 def test_ground_state_free_fermion_crosscheck(L):
     gs = ground_state(TfiModel(L))
     ref = free_fermion_e0(L)

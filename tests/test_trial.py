@@ -120,6 +120,16 @@ def test_groundstate_table_rejects_negative_entries_by_name():
     assert np.all(t.amps >= 0)
 
 
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_groundstate_table_rejects_gamma_zero_by_rule(L):
+    # a valid nonnegative member of the degenerate level is rejected too
+    m = TfiModel(L, Gamma=0.0)
+    vector = np.zeros(m.n_states)
+    vector[[0, m.mask]] = np.sqrt(0.5)
+    with pytest.raises(ValueError, match=r"model\.Gamma = 0\.0: the ground level is degenerate"):
+        build_table("exact-groundstate", m, vector=vector)
+
+
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         build_table("jastrow", TfiModel(8), params=JastrowParams(200.0, 0.0))
