@@ -37,7 +37,6 @@ from .model import TfiModel
 from .scaling import (
     ESTIMATORS,
     TRIAL_KINDS,
-    check_sweep_args,
     run_sweep,
     runtime_for_shots,
     extrapolate_runtime,
@@ -52,7 +51,7 @@ from .shots import (
     write_csv_rows,
     write_scan_csv,
 )
-from .trial import JastrowParams, build_table
+from .trial import JastrowParams, build_table, check_ground_state_gamma
 
 MANIFEST_SCHEMA = "run_manifest.v1"
 
@@ -171,6 +170,7 @@ def _cmd_scan(args) -> int:
 def _build_trial(cfg: RunConfig, m: TfiModel):
     """(trial table, GroundStateResult or None if no solve was needed)."""
     if cfg.trial_kind == "exact-groundstate":
+        check_ground_state_gamma(m.Gamma)
         gs = ground_state(m)
         return build_table("exact-groundstate", m, vector=gs.vector), gs
     return build_table("jastrow", m, params=JastrowParams(cfg.lambda1, cfg.lambda2)), None
@@ -251,9 +251,6 @@ def _write_chain_csv(path: str, record) -> None:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    # reject bad arguments before the output directory exists
-    check_sweep_args(cfg.trial_kind, cfg.replicates, cfg.estimator, args.threads)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     points = run_sweep(
         cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),
         replicates=cfg.replicates, J=cfg.J, Gamma=cfg.Gamma,
@@ -263,6 +260,8 @@ def _cmd_sweep(args) -> int:
     )
     result = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
                        band=cfg.crossing_band, crossing_method=cfg.crossing_method)
+    # a sweep that fails leaves no output directory
+    os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     if "csv" in cfg.formats:
         write_sweep_csv(points, os.path.join(cfg.out_dir, "sweep_points.csv"))

@@ -1,28 +1,41 @@
 """Matrix-free exact diagonalization for the chain.
 
-Lanczos with full reorthogonalization on the O(L 2^L) matvec. The start
-vector is the uniform positive vector, so results are reproducible
-bit-for-bit; for Gamma > 0 the ground state is unique and strictly
-positive, and the returned vector is sign-fixed accordingly. At Gamma = 0
-the ground level is doubly degenerate and its flip-even member is returned.
+Lanczos with full reorthogonalization. The start vector is the uniform
+positive vector, so results are reproducible bit-for-bit; for Gamma > 0
+the ground state is unique and strictly positive, and the returned vector
+is sign-fixed accordingly. At Gamma = 0 the ground level is doubly
+degenerate and its flip-even member is returned.
 
-H commutes with the global spin flip x -> mask ^ x, and the start vector is
-even under it, so Lanczos runs on the flip-even half: the 2^(L-1) states
-with the top bit clear, where flipping the top bit reads v[::-1]. That
-halves the matvec, the reorthogonalization and the Krylov basis (1 MiB per
-row at L = 18); the vector returned is (y, y[::-1]) / sqrt(2). The matvec
-reads the other flip neighbours v[x ^ 1<<k] with ``model.flip_bit``, two
-strided copies into one scratch vector. The Krylov basis lives in the rows
-of one preallocated array (BASIS_CAPACITY rows, doubled when full), so
+H commutes with the L translations, the reflection and the global flip
+x -> mask ^ x, a group of order 4L, and the uniform start vector is
+invariant under all of them. So Lanczos runs on the fully symmetric
+sector, in the orthonormal basis of orbit indicators divided by
+sqrt(N_a), N_a the orbit size: about 2^L / 4L coordinates (1,162 at
+L = 16, 3,914 at L = 18). ``symmetry_orbits`` labels every state with its
+orbit; the representative of an orbit is its smallest state. It keeps
+the states no larger than their image under each group element in turn
+(the candidates shrink from 2^(L-1) to the ~2^L / 4L representatives),
+then labels every image of the representatives. The labels are int32 (so
+L <= 30) and are the solver's largest array: 2^L int32, 16 MiB at
+L = 22, besides the 2^L float64 vector it returns. In the
+sector, H is a diagonal plus L gathers, one per flipped bit,
+(H v)_a = E(rep_a) v_a - sum_k Gamma sqrt(N_a / N_b) v_b with
+b = orbit(rep_a ^ 1<<k). The embedding is an isometry, so the sector
+residual is the full-space residual; the vector returned is
+(y / sqrt(N))[orbit]. The Krylov basis lives in the rows of one
+preallocated array (BASIS_CAPACITY rows, doubled when full), so
 reorthogonalization and the Ritz vector work on a view of the first rows
 and never copy the basis.
+
+``apply_hamiltonian`` is the full-space action on any vector: the diagonal
+plus v[x ^ 1<<k] for each k, read with ``model.flip_bit``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, all_diagonal_energies, flip_bit
+from .model import TfiModel, all_diagonal_energies, bond_correlations, check_table_size, flip_bit
 from .trial import AmplitudeTable
 
 # initial row count of the Krylov basis array; it doubles when full
@@ -38,22 +51,18 @@ class GroundStateResult:
 
 
 class _HamiltonianAction:
-    """Reusable matvec: diagonal plus the L single-flip shifts; folded, on the flip-even half."""
+    """Reusable matvec over the 2^L basis: diagonal plus the L single-flip shifts."""
 
-    def __init__(self, m: TfiModel, folded: bool = False):
+    def __init__(self, m: TfiModel):
         self.m = m
-        self.bits = m.L - folded
-        self.diag = all_diagonal_energies(m)[:1 << self.bits]
-        self.flipped = np.empty(1 << self.bits)
+        self.diag = all_diagonal_energies(m)
+        self.flipped = np.empty(m.n_states)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         if self.m.Gamma != 0.0:
             for k in range(self.m.L):
-                if k < self.bits:
-                    flip_bit(v, k, self.flipped)
-                else:
-                    np.copyto(self.flipped, v[::-1])
+                flip_bit(v, k, self.flipped)
                 self.flipped *= self.m.Gamma
                 out -= self.flipped
         return out
@@ -67,15 +76,86 @@ def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
     return _HamiltonianAction(m)(v)
 
 
+def _bit_reversal(bits: int) -> np.ndarray:
+    """rev[x] is x with its low ``bits`` bits reversed, built by doubling."""
+    rev = np.zeros(1, dtype=np.int32)
+    for _ in range(bits):
+        # reversing one more bit shifts the reversed low bits up and moves
+        # the new top bit to bit 0
+        rev = np.concatenate((rev << 1, (rev << 1) | 1))
+    return rev
+
+
+def symmetry_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(orbit, reps, sizes) under translations, reflection and global flip.
+
+    orbit[x] is the index of x's orbit, reps[a] the smallest state of
+    orbit a (reps is increasing) and sizes[a] the number of its states;
+    all three are int32. A state is a representative when no image is
+    smaller, so the candidates are filtered by one group element after
+    the other; then each image of the representatives is labelled.
+    """
+    mask = (1 << L) - 1
+    low = L // 2
+    low_rev, high_rev = _bit_reversal(low), _bit_reversal(L - low)
+
+    def act(x, reflect, shift, flip):
+        if reflect:
+            x = (low_rev[x & ((1 << low) - 1)] << (L - low)) | high_rev[x >> low]
+        if shift:
+            x = (x >> shift) | ((x & ((1 << shift) - 1)) << (L - shift))
+        return x ^ mask if flip else x
+
+    group = [(reflect, shift, flip)
+             for reflect in (0, 1) for shift in range(L) for flip in (0, 1)]
+    # group[:2] is the identity and the flip; a state no larger than its
+    # flip image has its top bit clear
+    reps = np.arange(1 << (L - 1), dtype=np.int32)
+    for g in group[2:]:
+        reps = reps[reps <= act(reps, *g)]
+    orbit = np.empty(1 << L, dtype=np.int32)
+    labels = np.arange(len(reps), dtype=np.int32)
+    stabilizer = np.zeros(len(reps), dtype=np.int32)
+    for g in group:
+        image = act(reps, *g)
+        orbit[image] = labels
+        stabilizer += image == reps
+    # orbit-stabilizer theorem: N_a = |G| / |stabilizer of rep_a|
+    return orbit, reps, len(group) // stabilizer
+
+
+class _SectorAction:
+    """H on the fully symmetric sector: diagonal plus L gathers, no scatter."""
+
+    def __init__(self, m: TfiModel, orbit: np.ndarray, reps: np.ndarray, sizes: np.ndarray):
+        self.Gamma = m.Gamma
+        self.diag = -m.J * bond_correlations(m, 1, reps).astype(np.float64)
+        self.nbr = np.stack([orbit[reps ^ (1 << k)] for k in range(m.L)])
+        self.weight = m.Gamma * np.sqrt(sizes / sizes[self.nbr])
+        self.gathered = np.empty(len(reps))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out = self.diag * v
+        if self.Gamma != 0.0:
+            for nbr, weight in zip(self.nbr, self.weight):
+                np.take(v, nbr, out=self.gathered)
+                self.gathered *= weight
+                out -= self.gathered
+        return out
+
+
 def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> GroundStateResult:
     """Lowest eigenpair of H, converged to residual norm <= tol."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    n = m.n_states // 2
-    H = _HamiltonianAction(m, folded=True)
+    check_table_size(m)
+    orbit, reps, sizes = symmetry_orbits(m.L)
+    H = _SectorAction(m, orbit, reps, sizes)
+    n = len(reps)
     # Krylov basis: row j is the j-th Lanczos vector
     V = np.empty((BASIS_CAPACITY, n))
-    V[0] = 1.0 / np.sqrt(n)
+    # the uniform vector 2^(-L/2) on every state, in sector coordinates
+    V[0] = np.sqrt(sizes / m.n_states)
     v = V[0]
     alphas: list[float] = []
     betas: list[float] = []
@@ -106,7 +186,7 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
                 y = -y
             residual = float(np.linalg.norm(H(y) - theta * y))
             if residual <= tol:
-                vector = np.concatenate((y, y[::-1])) / np.sqrt(2.0)
+                vector = (y / np.sqrt(sizes))[orbit]
                 return GroundStateResult(theta, vector, residual, it)
             # Ritz bound was optimistic; keep iterating unless exhausted
             if beta < 1e-14:

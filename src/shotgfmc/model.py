@@ -44,10 +44,16 @@ def _popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
 
 
-def bond_correlations(m: TfiModel, offset: int) -> np.ndarray:
-    """sum_k s_k s_{k+offset mod L} for every basis state, as int64."""
+def check_table_size(m: TfiModel) -> None:
+    """Raise ValueError before a full-basis array is built for L > MAX_TABLE_L."""
+    if m.L > MAX_TABLE_L:
+        raise ValueError(f"full-basis table needs L <= {MAX_TABLE_L}, got L={m.L}")
+
+
+def bond_correlations(m: TfiModel, offset: int, states: np.ndarray | None = None) -> np.ndarray:
+    """sum_k s_k s_{k+offset mod L} for every basis state (or the given ones), as int64."""
     L = m.L
-    idx = np.arange(m.n_states, dtype=np.int64)
+    idx = np.arange(m.n_states, dtype=np.int64) if states is None else states.astype(np.int64)
     d = offset % L
     rot = ((idx >> d) | ((idx & ((1 << d) - 1)) << (L - d))) if d else idx
     return L - 2 * _popcount(idx ^ rot)

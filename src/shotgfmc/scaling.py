@@ -36,7 +36,7 @@ from .gfmc import (
 from .model import TfiModel
 from .seeding import derive_seed
 from .shots import noisy_amplitudes, sample_counts
-from .trial import JastrowParams, build_table
+from .trial import JastrowParams, build_table, check_ground_state_gamma
 
 SECONDS_PER_YEAR = 3.156e7
 
@@ -112,21 +112,6 @@ def _run_replicate(task):
     return [(m.L, M, rep, est / m.L) for (M, rep), est in zip(walkers, ests)]
 
 
-def check_sweep_args(trial_kind: str, replicates: int, estimator: str, threads) -> int:
-    """Raise ValueError on arguments run_sweep rejects; None threads -> one per core."""
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
-    if trial_kind not in TRIAL_KINDS:
-        raise ValueError(f"trial_kind must be one of {TRIAL_KINDS}")
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
 def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
               replicates: int = 16, *, J: float = 1.0, Gamma: float = 1.0,
               base_seed: int = 0, estimator: str = "reweighted",
@@ -142,9 +127,21 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     per core. Walker seeds depend only on (base_seed, L, M, rep) and a
     walker's trajectory does not depend on its population, so neither the
     schedule nor threads can change any number. A failed population aborts
-    the sweep with its (L, M, rep) range attached.
+    the sweep with its (L, M, rep) range attached. Arguments are checked,
+    and the exact trial at Gamma = 0 rejected, before any solve.
     """
-    threads = check_sweep_args(trial_kind, replicates, estimator, threads)
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+    if trial_kind not in TRIAL_KINDS:
+        raise ValueError(f"trial_kind must be one of {TRIAL_KINDS}")
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if trial_kind == "exact-groundstate":
+        check_ground_state_gamma(Gamma)
     tasks = []
     e0_per_site = {}
     for L in L_grid:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_TABLE_L, TfiModel, bond_correlations
+from .model import TfiModel, bond_correlations, check_table_size
 
 TABLE_KINDS = ("uniform", "jastrow", "exact-groundstate", "noisy")
 
@@ -65,19 +65,14 @@ def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
     return p.lambda1 * c1 + p.lambda2 * c2
 
 
-def _check_table_size(m: TfiModel) -> None:
-    if m.L > MAX_TABLE_L:
-        raise ValueError(f"full-basis table needs L <= {MAX_TABLE_L}, got L={m.L}")
-
-
 def uniform_table(m: TfiModel) -> AmplitudeTable:
-    _check_table_size(m)
+    check_table_size(m)
     amps = np.full(m.n_states, 1.0 / np.sqrt(m.n_states))
     return AmplitudeTable(m.L, amps, "uniform")
 
 
 def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable:
-    _check_table_size(m)
+    check_table_size(m)
     p = p or JastrowParams()
     logs = jastrow_log_amplitudes(p, m)
     spread = float(logs.max() - logs.min())
@@ -91,12 +86,17 @@ def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable
     return AmplitudeTable(m.L, amps, "jastrow")
 
 
+def check_ground_state_gamma(Gamma: float) -> None:
+    """The exact trial needs a unique ground state, so Gamma = 0 is rejected by rule."""
+    if Gamma == 0:
+        raise ValueError(f"exact-groundstate trial at model.Gamma = {Gamma!r}: the ground "
+                         "level is degenerate (both ferromagnetic states); use model.Gamma > 0")
+
+
 def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
     """Wrap a precomputed ground-state vector (from the exact solver)."""
-    _check_table_size(m)
-    if m.Gamma == 0:
-        raise ValueError(f"exact-groundstate trial at model.Gamma = {m.Gamma!r}: the ground "
-                         "level is degenerate (both ferromagnetic states); use model.Gamma > 0")
+    check_table_size(m)
+    check_ground_state_gamma(m.Gamma)
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != (m.n_states,):
         raise ValueError("ground-state vector has the wrong length")

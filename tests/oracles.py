@@ -48,6 +48,18 @@ def free_fermion_e0(L: int, J: float = 1.0, Gamma: float = 1.0) -> float:
     return -0.5 * total
 
 
+def symmetry_images(x: int, L: int) -> set:
+    """Every image of state x under the L rotations, the reflection and the global flip."""
+    bits = [(x >> k) & 1 for k in range(L)]
+    images = set()
+    for seq in (bits, bits[::-1]):
+        for s in range(L):
+            rotated = seq[s:] + seq[:s]
+            for flip in (0, 1):
+                images.add(sum((b ^ flip) << k for k, b in enumerate(rotated)))
+    return images
+
+
 def spin(x: int, k: int) -> int:
     return 1 - 2 * ((x >> k) & 1)
 

@@ -5,12 +5,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from shotgfmc import cli, shots
+from shotgfmc import cli, exact, scaling, shots
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
 from shotgfmc.exact import ground_state
 from shotgfmc.gfmc import GfmcConfig, run_chain
-from shotgfmc.model import TfiModel
+from shotgfmc.model import MAX_TABLE_L, TfiModel
 from shotgfmc.seeding import derive_seed, splitmix64
 from shotgfmc.trial import build_table
 
@@ -383,6 +383,46 @@ def test_cli_exact_trial_names_negative_ground_state_entries(tmp_path, capsys, c
         assert (v < 0).any()
         assert f"{int((v < 0).sum())} negative entries" in err
         assert "most negative -" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--M0", "1", "--reps", "2"],
+    ["gfmc", "--replicates", "2", "--chain-length", "1000", "--warmup", "100"],
+    ["sweep", "--replicates", "2", "--chain-length", "2000", "--threads", "1"],
+])
+@pytest.mark.parametrize("L, Gamma", [(4, 0.0), (12, 0.01)])
+def test_cli_rejected_exact_trial_leaves_no_directory(tmp_path, capsys, monkeypatch, command,
+                                                      L, Gamma):
+    solved = []
+
+    def counting_ground_state(m, **kwargs):
+        solved.append(m.L)
+        return ground_state(m, **kwargs)
+
+    monkeypatch.setattr(cli, "ground_state", counting_ground_state)
+    monkeypatch.setattr(scaling, "ground_state", counting_ground_state)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"L": L, "Gamma": Gamma},
+                               "trial": {"kind": "exact-groundstate"}}))
+    code, out, err = _run(capsys, [*command, "--config", str(cfg),
+                                   "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert out == ""
+    assert f"model.Gamma = {Gamma!r}" in err
+    assert not (tmp_path / "out").exists()
+    # Gamma = 0 is rejected by rule before the solve; Gamma = 0.01 only after it
+    assert solved == ([] if Gamma == 0 else [L])
+
+
+def test_cli_ed_rejects_sizes_above_the_table_cap(capsys, monkeypatch):
+    def build(L):
+        raise AssertionError("orbits built for an oversized chain")
+
+    monkeypatch.setattr(exact, "symmetry_orbits", build)
+    code, out, err = _run(capsys, ["ed", "--L", str(MAX_TABLE_L + 1)])
+    assert code == 1
+    assert out == ""
+    assert f"needs L <= {MAX_TABLE_L}, got L={MAX_TABLE_L + 1}" in err
 
 
 def test_cli_scan_writes_csv_and_manifest(tmp_path, capsys):

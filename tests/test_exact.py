@@ -3,10 +3,15 @@ import pytest
 
 from shotgfmc import exact
 from shotgfmc.exact import apply_hamiltonian, ground_state, variational_energy
-from shotgfmc.model import TfiModel
+from shotgfmc.model import MAX_TABLE_L, TfiModel
 from shotgfmc.trial import AmplitudeTable, build_table
 
-from oracles import apply_hamiltonian_gather, dense_hamiltonian, free_fermion_e0
+from oracles import (
+    apply_hamiltonian_gather,
+    dense_hamiltonian,
+    free_fermion_e0,
+    symmetry_images,
+)
 
 
 def test_ground_state_l2_closed_form():
@@ -23,24 +28,61 @@ def test_ground_state_matches_dense_oracle(L):
     assert abs(gs.energy - evals[0]) <= 1e-12
     overlap = abs(float(evecs[:, 0] @ gs.vector))
     assert overlap >= 1.0 - 1e-12
-    # the solve runs on the flip-even half, so the mirror image is exact
+    # the solve runs on the fully symmetric sector, so the flip image is exact
     assert np.array_equal(gs.vector, gs.vector[::-1])
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_symmetry_orbits_partition_the_basis(L):
+    orbit, reps, sizes = exact.symmetry_orbits(L)
+    assert orbit.dtype == np.int32 and reps.dtype == np.int32
+    assert orbit.shape == (1 << L,)
+    assert sizes.sum() == 1 << L
+    assert np.array_equal(orbit[reps], np.arange(len(reps)))
+    for a, rep in enumerate(reps):
+        images = sorted(symmetry_images(int(rep), L))
+        # the representative is the smallest image, and its whole orbit maps to it
+        assert images[0] == rep
+        assert np.all(orbit[images] == a)
+        assert sizes[a] == len(images)
 
 
 @pytest.mark.parametrize("L", range(2, 11))
 @pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
-def test_folded_action_is_the_full_action_on_flip_even_vectors(L, J, Gamma):
+def test_sector_action_is_the_full_action_on_symmetric_vectors(L, J, Gamma):
     m = TfiModel(L, J=J, Gamma=Gamma)
+    orbit, reps, sizes = exact.symmetry_orbits(L)
     rng = np.random.default_rng(200 + L)
-    half = rng.normal(size=1 << (L - 1))
-    half[rng.random(half.size) < 0.3] = 0.0
-    folded = exact._HamiltonianAction(m, folded=True)(half)
-    full = apply_hamiltonian(np.concatenate((half, half[::-1])), m)
-    assert np.array_equal(full[:half.size], folded)
-    assert np.array_equal(full[half.size:], folded[::-1])
+    c = rng.normal(size=len(reps))
+    c[rng.random(c.size) < 0.3] = 0.0
+    root = np.sqrt(sizes)
+    sector = exact._SectorAction(m, orbit, reps, sizes)(c)
+    full = apply_hamiltonian((c / root)[orbit], m)
+    assert np.abs(full - (sector / root)[orbit]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("L", [6, 7, 8, 10, 12, 14, 16])
+@pytest.mark.parametrize("L", [2, 3, 4, 7, 10])
+@pytest.mark.parametrize("Gamma", [0.9, 0.0])
+def test_ground_state_vector_is_exactly_symmetric(L, Gamma):
+    v = ground_state(TfiModel(L, J=1.1, Gamma=Gamma)).vector
+    x = np.arange(1 << L)
+    rotated = (x >> 1) | ((x & 1) << (L - 1))
+    reflected = sum(((x >> k) & 1) << (L - 1 - k) for k in range(L))
+    assert np.array_equal(v[rotated], v)
+    assert np.array_equal(v[reflected], v)
+    assert np.array_equal(v[x ^ ((1 << L) - 1)], v)
+
+
+def test_ground_state_rejects_sizes_above_the_table_cap(monkeypatch):
+    def build(L):
+        raise AssertionError("orbits built for an oversized chain")
+
+    monkeypatch.setattr(exact, "symmetry_orbits", build)
+    with pytest.raises(ValueError, match=f"L <= {MAX_TABLE_L}, got L={MAX_TABLE_L + 1}"):
+        ground_state(TfiModel(MAX_TABLE_L + 1))
+
+
+@pytest.mark.parametrize("L", [6, 7, 8, 10, 12, 14, 16, 18, 20])
 def test_ground_state_free_fermion_crosscheck(L):
     gs = ground_state(TfiModel(L))
     ref = free_fermion_e0(L)
