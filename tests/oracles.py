@@ -35,6 +35,17 @@ def dense_hamiltonian(L: int, J: float = 1.0, Gamma: float = 1.0) -> np.ndarray:
     return H
 
 
+def folded_hamiltonian(L: int, J: float = 1.0, Gamma: float = 1.0) -> np.ndarray:
+    """H on flip-even vectors (h, h[::-1]), written on h: the first 2^(L-1) rows.
+
+    The flip image of state x < 2^(L-1) is mask ^ x = 2^L - 1 - x, so the
+    upper half of a flip-even vector is its lower half reversed.
+    """
+    H = dense_hamiltonian(L, J, Gamma)
+    n = 1 << (L - 1)
+    return H[:n, :n] + H[:n, n:][:, ::-1]
+
+
 def free_fermion_e0(L: int, J: float = 1.0, Gamma: float = 1.0) -> float:
     """Closed-form ground energy from the fermionized chain.
 

@@ -9,6 +9,7 @@ from shotgfmc.trial import AmplitudeTable, build_table
 from oracles import (
     apply_hamiltonian_gather,
     dense_hamiltonian,
+    folded_hamiltonian,
     free_fermion_e0,
     symmetry_images,
 )
@@ -45,6 +46,21 @@ def test_symmetry_orbits_partition_the_basis(L):
         assert images[0] == rep
         assert np.all(orbit[images] == a)
         assert sizes[a] == len(images)
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("J, Gamma", [(1.3, 0.7), (0.6, 0.0)])
+def test_folded_action_is_the_full_action_on_flip_even_vectors(L, J, Gamma):
+    # the sector solve rests on H commuting with the global flip: the full
+    # action keeps a flip-even vector flip-even, bit for bit, and its lower
+    # half is the dense folded matrix applied to the lower half
+    m = TfiModel(L, J=J, Gamma=Gamma)
+    rng = np.random.default_rng(200 + L)
+    half = rng.normal(size=1 << (L - 1))
+    half[rng.random(half.size) < 0.3] = 0.0
+    full = apply_hamiltonian(np.concatenate((half, half[::-1])), m)
+    assert np.array_equal(full[half.size:], full[:half.size][::-1])
+    assert np.abs(full[:half.size] - folded_hamiltonian(L, J, Gamma) @ half).max() <= 1e-12
 
 
 @pytest.mark.parametrize("L", range(2, 11))
