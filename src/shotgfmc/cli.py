@@ -26,32 +26,27 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .exact import ground_state
-from .gfmc import (
-    GfmcConfig,
-    average_local_energy,
-    max_population,
-    reweighted_energy,
-    run_chain,
-)
+from .gfmc import GfmcConfig, average_local_energy, reweighted_energy
 from .model import TfiModel
 from .scaling import (
     ESTIMATORS,
     TRIAL_KINDS,
+    build_trial,
     run_sweep,
+    run_walkers,
     runtime_for_shots,
     extrapolate_runtime,
     summarize,
     write_sweep_csv,
 )
-from .seeding import derive_seed
-from .shots import (
-    local_energy_scan,
-    noisy_amplitudes,
-    sample_counts,
-    write_csv_rows,
-    write_scan_csv,
-)
-from .trial import JastrowParams, build_table, check_ground_state_gamma
+from .shots import local_energy_scan, write_csv_rows, write_scan_csv
+from .trial import JastrowParams
+
+# scaling.build_trial and scaling.run_walkers call these now, but
+# perfbench/tracing.py still looks them up on this module
+from .gfmc import run_chain  # noqa: F401
+from .shots import noisy_amplitudes, sample_counts  # noqa: F401
+from .trial import build_table  # noqa: F401
 
 MANIFEST_SCHEMA = "run_manifest.v1"
 
@@ -155,7 +150,7 @@ def _cmd_scan(args) -> int:
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
-    trial, _ = _build_trial(cfg, m)
+    trial, _ = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "local_energy_scan.csv")
@@ -167,15 +162,6 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _build_trial(cfg: RunConfig, m: TfiModel):
-    """(trial table, GroundStateResult or None if no solve was needed)."""
-    if cfg.trial_kind == "exact-groundstate":
-        check_ground_state_gamma(m.Gamma)
-        gs = ground_state(m)
-        return build_table("exact-groundstate", m, vector=gs.vector), gs
-    return build_table("jastrow", m, params=JastrowParams(cfg.lambda1, cfg.lambda2)), None
-
-
 def _cmd_gfmc(args) -> int:
     cfg = _load_config(args)
     if cfg.M_list is not None and len(cfg.M_list) != 1:
@@ -183,27 +169,20 @@ def _cmd_gfmc(args) -> int:
     M = None if cfg.M_list is None else cfg.M_list[0]
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
-    trial, gs = _build_trial(cfg, m)
+    trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = (gs if gs is not None else ground_state(m)).energy
     base = _gfmc_config(cfg)
     rew, avg = [], []
     chain_rows = []
-    # populations of at most max_population walkers bound the record memory
-    width = max_population(base)
-    for first in range(0, cfg.replicates, width):
-        tables, rngs = [], []
-        for rep in range(first, min(first + width, cfg.replicates)):
-            rng = np.random.default_rng(derive_seed(cfg.base_seed, m.L, M or 0, rep))
-            table = trial
-            if M is not None:
-                table = noisy_amplitudes(sample_counts(trial.probabilities, M, rng))
-            tables.append(table)
-            rngs.append(rng)
-        for record in run_chain(base, tables, m, rngs):
-            rew.append(reweighted_energy(record) / m.L)
-            avg.append(average_local_energy(record) / m.L)
-            if args.dump_chain:
-                chain_rows.append(record)
+    walkers = [(M, rep) for rep in range(cfg.replicates)]
+    for record in run_walkers(m, base, trial, walkers, cfg.base_seed):
+        rew.append(reweighted_energy(record) / m.L)
+        avg.append(average_local_energy(record) / m.L)
+        if args.dump_chain:
+            chain_rows.append(record)
+        # a population's last record would keep all of its arrays alive
+        # while the generator runs the next population
+        del record
     rew_arr, avg_arr = np.array(rew), np.array(avg)
 
     def _stats(a):

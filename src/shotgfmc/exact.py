@@ -28,7 +28,8 @@ reorthogonalization and the Ritz vector work on a view of the first rows
 and never copy the basis.
 
 ``apply_hamiltonian`` is the full-space action on any vector: the diagonal
-plus v[x ^ 1<<k] for each k, read with ``model.flip_bit``.
+times v, then Gamma * v[x ^ 1<<k] (read with ``model.flip_bit``)
+subtracted for k = 0, 1, ..., L-1 in that order, which fixes its bits.
 """
 
 from dataclasses import dataclass
@@ -50,30 +51,19 @@ class GroundStateResult:
     iterations: int
 
 
-class _HamiltonianAction:
-    """Reusable matvec over the 2^L basis: diagonal plus the L single-flip shifts."""
-
-    def __init__(self, m: TfiModel):
-        self.m = m
-        self.diag = all_diagonal_energies(m)
-        self.flipped = np.empty(m.n_states)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.m.Gamma != 0.0:
-            for k in range(self.m.L):
-                flip_bit(v, k, self.flipped)
-                self.flipped *= self.m.Gamma
-                out -= self.flipped
-        return out
-
-
 def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
     """H v for a dense vector over the 2^L basis."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n_states,):
         raise ValueError(f"vector must have length {m.n_states}")
-    return _HamiltonianAction(m)(v)
+    out = all_diagonal_energies(m) * v
+    if m.Gamma != 0.0:
+        flipped = np.empty(m.n_states)
+        for k in range(m.L):
+            flip_bit(v, k, flipped)
+            flipped *= m.Gamma
+            out -= flipped
+    return out
 
 
 def _bit_reversal(bits: int) -> np.ndarray:

@@ -36,7 +36,7 @@ DEFAULT_REWEIGHT_WINDOW = 100
 _WINDOW_RECOMPUTE_EVERY = 10_000
 
 # largest b record one population may hold, as its (walkers, steps)
-# array of float64; callers split bigger batches
+# array of float64; scaling.run_walkers splits bigger batches
 POPULATION_RECORD_BYTES = 8 << 20
 
 

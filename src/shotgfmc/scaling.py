@@ -15,6 +15,10 @@ global fixed -1/2 model displaces the crossing; see fit_prefactor for the
 fixed-exponent prefactor that is still reported per L). The per-target
 crossings then feed the exponential fit log2 M* = log2 a + b*L over
 L > 6.
+
+``run_walkers`` is the one driver from walkers (M, rep) to chain records:
+``run_sweep`` and the ``gfmc`` command both run their chains through it,
+and ``build_trial`` builds the trial table they share.
 """
 
 import math
@@ -85,31 +89,55 @@ def default_m_grid(L: int, trial_kind: str, points_below: int = 9,
     return grid
 
 
-def _run_replicate(task):
-    """Pool task: one population of (M, rep) walkers at one L.
+def build_trial(m: TfiModel, kind: str, jastrow: JastrowParams | None = None):
+    """(trial table, GroundStateResult or None if no solve was needed).
 
-    Every walker samples its own frozen shot table from the shared trial
-    probabilities p with its own generator; the population then runs as
-    one run_chain call.
-    The name predates populations; perfbench/tracing.py wraps it by name.
+    The exact trial at Gamma = 0 is rejected before the solve.
     """
-    m, cfg, p, walkers, base_seed, estimator = task
-    try:
+    if kind == "exact-groundstate":
+        check_ground_state_gamma(m.Gamma)
+        gs = ground_state(m)
+        return build_table("exact-groundstate", m, vector=gs.vector), gs
+    return build_table(kind, m, params=jastrow), None
+
+
+def run_walkers(m: TfiModel, cfg: GfmcConfig, trial, walkers, base_seed: int):
+    """Yield one ChainRecord per walker (M, rep), in order.
+
+    Walker (M, rep) owns default_rng(derive_seed(base_seed, L, M or 0,
+    rep)): it draws its frozen M-shot table of trial first (M None runs
+    on trial itself), then its initial state and chain uniforms. Walkers
+    run in populations of at most max_population(cfg); a walker's record
+    does not depend on its population.
+    """
+    width = max_population(cfg)
+    for first in range(0, len(walkers), width):
         tables, rngs = [], []
-        for M, rep in walkers:
-            rng = np.random.default_rng(derive_seed(base_seed, m.L, M, rep))
-            tables.append(noisy_amplitudes(sample_counts(p, M, rng)))
+        for M, rep in walkers[first:first + width]:
+            rng = np.random.default_rng(derive_seed(base_seed, m.L, M or 0, rep))
+            # trial.probabilities is made per draw, so it is not held into run_chain
+            tables.append(trial if M is None else
+                          noisy_amplitudes(sample_counts(trial.probabilities, M, rng)))
             rngs.append(rng)
-        records = run_chain(cfg, tables, m, rngs)
-        if estimator == "reweighted":
-            ests = [reweighted_energy(r) for r in records]
-        else:
-            ests = [average_local_energy(r) for r in records]
+        yield from run_chain(cfg, tables, m, rngs)
+
+
+def _run_replicate(task):
+    """Pool task: one share of the walkers at one L, run by run_walkers.
+
+    Returns the walkers' energies per site, in order. The name predates
+    populations; perfbench/tracing.py wraps it by name.
+    """
+    m, cfg, trial, walkers, base_seed, estimator = task
+    estimate = reweighted_energy if estimator == "reweighted" else average_local_energy
+    try:
+        # map holds no record while the next population runs; a loop variable
+        # would keep the last one, and with it its population's arrays
+        return [e / m.L for e in map(estimate, run_walkers(m, cfg, trial, walkers, base_seed))]
     except Exception as exc:
         (M0, rep0), (M1, rep1) = walkers[0], walkers[-1]
-        raise RuntimeError(f"population failed at L={m.L} (M={M0} rep={rep0} .. "
+        raise RuntimeError(f"walkers failed at L={m.L} (M={M0} rep={rep0} .. "
                            f"M={M1} rep={rep1})") from exc
-    return [(m.L, M, rep, est / m.L) for (M, rep), est in zip(walkers, ests)]
 
 
 def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
@@ -117,18 +145,19 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
               base_seed: int = 0, estimator: str = "reweighted",
               jastrow: JastrowParams | None = None,
               threads: int | None = 1) -> list[SweepPoint]:
-    """One SweepPoint per (L, M): replicates chains on fresh frozen tables.
+    """One SweepPoint per distinct (L, M): replicates chains on fresh frozen tables.
 
-    m_grid is None (default per-L grids) or a list shared by every L. Each
-    size's reference energy comes from its own Lanczos solve, so the
-    points depend only on the arguments. The walkers of one L are split
-    into populations of min(ceil(walkers / threads), max_population) that
-    fan out over a process pool when threads > 1; threads=None means one
-    per core. Walker seeds depend only on (base_seed, L, M, rep) and a
-    walker's trajectory does not depend on its population, so neither the
-    schedule nor threads can change any number. A failed population aborts
-    the sweep with its (L, M, rep) range attached. Arguments are checked,
-    and the exact trial at Gamma = 0 rejected, before any solve.
+    m_grid is None (default per-L grids) or a list shared by every L;
+    repeated sizes and budgets run once. Each size's reference energy
+    comes from its own Lanczos solve, so the points depend only on the
+    arguments. The walkers of one L are split into `threads` run_walkers
+    tasks that fan out over a process pool when threads > 1;
+    threads=None means one per core. Walker seeds depend only on
+    (base_seed, L, M, rep) and a record not on its task or population,
+    so neither the schedule nor threads can change any number. A failed
+    task aborts the sweep with its (L, M, rep) range attached. Arguments
+    are checked, and the exact trial at Gamma = 0 rejected, before any
+    solve.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -140,44 +169,31 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if trial_kind == "exact-groundstate":
-        check_ground_state_gamma(Gamma)
     tasks = []
     e0_per_site = {}
-    for L in L_grid:
+    for L in sorted(set(L_grid)):
         m = TfiModel(L, J, Gamma)
-        if trial_kind == "exact-groundstate":
-            gs = ground_state(m)
-            e0 = gs.energy
-            trial = build_table("exact-groundstate", m, vector=gs.vector)
-        else:
-            e0 = reference_energy(m)
-            trial = build_table("jastrow", m, params=jastrow)
-        e0_per_site[L] = e0 / L
+        trial, gs = build_trial(m, trial_kind, jastrow)
+        e0_per_site[L] = (gs.energy if gs is not None else reference_energy(m)) / L
         cfg = replace(base_cfg, lambda_shift=base_cfg.resolve_lambda_shift(m))
-        ms = default_m_grid(L, trial_kind) if m_grid is None else m_grid
+        ms = default_m_grid(L, trial_kind) if m_grid is None else sorted(set(m_grid))
         walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
-        p = trial.probabilities
-        width = min(-(-len(walkers) // threads), max_population(base_cfg))
+        width = -(-len(walkers) // threads)
         for i in range(0, len(walkers), width):
-            tasks.append((m, cfg, p, walkers[i:i + width], base_seed, estimator))
+            tasks.append((m, cfg, trial, walkers[i:i + width], base_seed, estimator))
 
-    results = {}
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_replicate, tasks))
     else:
         outcomes = [_run_replicate(task) for task in tasks]
-    for outcome in outcomes:
-        for (L, M, rep, est) in outcome:
-            results[(L, M, rep)] = est
-
-    points = []
-    seen = sorted({(L, M) for (L, M, _rep) in results})
-    for (L, M) in seen:
-        ests = np.array([results[(L, M, rep)] for rep in range(replicates)])
-        points.append(SweepPoint(L, M, trial_kind, estimator, ests, e0_per_site[L]))
-    return points
+    # tasks hold each L's walkers in (M, rep) order, so reps arrive in order
+    ests = {}
+    for (m, _cfg, _trial, walkers, *_), outcome in zip(tasks, outcomes):
+        for (M, _rep), est in zip(walkers, outcome):
+            ests.setdefault((m.L, M), []).append(est)
+    return [SweepPoint(L, M, trial_kind, estimator, ests[(L, M)], e0_per_site[L])
+            for (L, M) in sorted(ests)]
 
 
 def reference_energy(m: TfiModel) -> float:
@@ -339,29 +355,22 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
         entry["M_star"] = {}
         entry["crossings"] = {}
         for t in targets:
-            key = repr(t)
-            if crossing_method == "prefactor":
-                if pf is None:
-                    entry["M_star"][key] = None
-                    entry["crossings"][key] = {"error": entry.get("c_error", "no prefactor")}
-                    m_star_by_target[t][L] = None
-                else:
-                    ms = crossing_M(pf.c, t)
-                    entry["M_star"][key] = ms
-                    entry["crossings"][key] = {"method": "prefactor"}
-                    m_star_by_target[t][L] = ms
-            else:
-                try:
+            try:
+                if crossing_method == "local":
                     cf = fit_crossing(pts, t, band)
-                    entry["M_star"][key] = cf.m_star
-                    entry["crossings"][key] = {"exponent": cf.exponent,
-                                               "n_points": cf.n_points,
-                                               "band": cf.band}
-                    m_star_by_target[t][L] = cf.m_star
-                except FitError as exc:
-                    entry["M_star"][key] = None
-                    entry["crossings"][key] = {"error": str(exc)}
-                    m_star_by_target[t][L] = None
+                    m_star = cf.m_star
+                    crossing = {"exponent": cf.exponent, "n_points": cf.n_points,
+                                "band": cf.band}
+                elif pf is None:
+                    raise FitError(entry["c_error"])
+                else:
+                    m_star = crossing_M(pf.c, t)
+                    crossing = {"method": "prefactor"}
+            except FitError as exc:
+                m_star, crossing = None, {"error": str(exc)}
+            entry["M_star"][repr(t)] = m_star
+            entry["crossings"][repr(t)] = crossing
+            m_star_by_target[t][L] = m_star
         per_L[str(L)] = entry
 
     global_fits = {}

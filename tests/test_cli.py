@@ -1,11 +1,12 @@
 import hashlib
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from shotgfmc import cli, exact, scaling, shots
+from shotgfmc import cli, exact, gfmc, scaling, shots
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
 from shotgfmc.exact import ground_state
@@ -459,6 +460,45 @@ def test_cli_gfmc_noiseless_and_dump(tmp_path, capsys):
     assert chain[1] == "n,state,b,e"
     n, state, b, e = chain[2].split(",")
     assert float(e) == pytest.approx(payload["lambda_shift"] - float(b), abs=1e-12)
+
+
+@pytest.mark.parametrize("budget", [[], ["--M", "300"]])
+def test_cli_gfmc_dump_does_not_depend_on_the_population_cap(tmp_path, capsys, monkeypatch,
+                                                             budget):
+    def run(name):
+        out_dir = tmp_path / name
+        code, out, _ = _run(capsys, ["gfmc", "--L", "5", *budget, "--chain-length", "3000",
+                                     "--warmup", "100", "--replicates", "3", "--seed", "8",
+                                     "--dump-chain", "--out-dir", str(out_dir)])
+        assert code == 0
+        names = sorted(p.name for p in out_dir.iterdir() if p.name != "run_manifest.json")
+        return out, {n: (out_dir / n).read_bytes() for n in names}
+
+    default = run("default")
+    assert gfmc.max_population(GfmcConfig(chain_length=3000, warmup=100)) >= 3
+    monkeypatch.setattr(gfmc, "POPULATION_RECORD_BYTES", 1)
+    single = run("single")
+    assert sorted(default[1]) == ["chain_0.csv", "chain_1.csv", "chain_2.csv",
+                                  "gfmc_result.json"]
+    assert single == default
+
+
+def test_cli_gfmc_holds_no_record_while_the_next_population_runs(capsys, monkeypatch):
+    monkeypatch.setattr(gfmc, "POPULATION_RECORD_BYTES", 1)
+    earlier = []
+
+    def tracking_run_chain(cfg, tables, m, rngs):
+        # a record keeps its whole population's arrays alive
+        assert all(ref() is None for ref in earlier)
+        records = run_chain(cfg, tables, m, rngs)
+        earlier.extend(weakref.ref(r) for r in records)
+        return records
+
+    monkeypatch.setattr(scaling, "run_chain", tracking_run_chain)
+    code, _, _ = _run(capsys, ["gfmc", "--L", "4", "--M", "200", "--chain-length", "2000",
+                               "--warmup", "100", "--replicates", "3"])
+    assert code == 0
+    assert len(earlier) == 3
 
 
 def test_cli_gfmc_noisy(capsys):

@@ -120,6 +120,24 @@ def test_ground_state_deterministic():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("L, J, Gamma", [(2, 1.0, 1.0), (3, 1.3, 0.7), (8, 1.0, 1.0),
+                                         (12, 0.6, 1.7)])
+def test_ground_state_starts_from_the_uniform_vector(L, J, Gamma):
+    # one iteration with a tolerance any residual meets returns the start
+    # vector and its Rayleigh quotient: on the uniform vector every bond
+    # correlation averages to 0 and every flip term gives -Gamma
+    gs = ground_state(TfiModel(L, J, Gamma), tol=1e300, max_iter=1)
+    assert gs.iterations == 1
+    assert gs.energy == pytest.approx(-Gamma * L, rel=1e-12)
+    np.testing.assert_allclose(gs.vector, 2.0 ** (-L / 2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("L, iterations", [(12, 32), (16, 45)])
+def test_ground_state_default_iteration_counts(L, iterations):
+    # the iteration count is a fingerprint of the start vector's Krylov space
+    assert ground_state(TfiModel(L)).iterations == iterations
+
+
 def test_ground_state_gamma_zero_energy():
     # classical limit: doubly degenerate ferromagnet, energy -J*L
     gs = ground_state(TfiModel(6, J=1.0, Gamma=0.0))

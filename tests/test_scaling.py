@@ -1,14 +1,17 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from shotgfmc import gfmc, scaling
 from shotgfmc.gfmc import GfmcConfig
 from shotgfmc.model import TfiModel
 from shotgfmc.scaling import (
     FitError,
     SECONDS_PER_YEAR,
     SweepPoint,
+    build_trial,
     crossing_M,
     default_m_grid,
     extrapolate_runtime,
@@ -17,6 +20,7 @@ from shotgfmc.scaling import (
     fit_prefactor,
     reference_energy,
     run_sweep,
+    run_walkers,
     runtime_for_shots,
     summarize,
     write_sweep_csv,
@@ -194,6 +198,76 @@ def test_run_sweep_parallel_matches_serial():
         assert np.array_equal(ps.replicate_estimates, pp.replicate_estimates)
 
 
+def _one_walker_populations(monkeypatch):
+    monkeypatch.setattr(gfmc, "POPULATION_RECORD_BYTES", 1)
+    assert gfmc.max_population(GfmcConfig()) == 1
+
+
+def test_run_walkers_records_do_not_depend_on_the_population_cap(monkeypatch):
+    m = TfiModel(5)
+    cfg = GfmcConfig(chain_length=3000, warmup=200, l_reweight=50)
+    trial, _ = build_trial(m, "jastrow")
+    walkers = [(None, 0), (40, 0), (40, 1), (None, 1), (90, 0)]
+    default = list(run_walkers(m, cfg, trial, walkers, 5))
+    assert gfmc.max_population(cfg) >= len(walkers)
+    _one_walker_populations(monkeypatch)
+    single = list(run_walkers(m, cfg, trial, walkers, 5))
+    assert len(default) == len(single) == len(walkers)
+    for a, b in zip(default, single):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.b_values, b.b_values)
+        assert np.array_equal(a.e_values, b.e_values)
+    # M None runs on the trial itself, and the budgets differ from it and each other
+    assert not np.array_equal(default[0].b_values, default[1].b_values)
+    assert not np.array_equal(default[1].b_values, default[2].b_values)
+
+
+def test_run_sweep_with_one_walker_populations_matches_across_threads(monkeypatch):
+    default = _tiny_sweep(threads=1)
+    _one_walker_populations(monkeypatch)
+    serial = _tiny_sweep(threads=1)
+    parallel = _tiny_sweep(threads=2)
+    for pd, ps, pp in zip(default, serial, parallel, strict=True):
+        assert (pd.L, pd.M) == (ps.L, ps.M) == (pp.L, pp.M)
+        assert np.array_equal(pd.replicate_estimates, ps.replicate_estimates)
+        assert np.array_equal(ps.replicate_estimates, pp.replicate_estimates)
+
+
+def test_run_replicate_holds_no_record_while_the_next_population_runs(monkeypatch):
+    _one_walker_populations(monkeypatch)
+    earlier = []
+
+    def tracking_run_chain(cfg, tables, m, rngs):
+        # a record keeps its whole population's arrays alive
+        assert all(ref() is None for ref in earlier)
+        records = run_chain(cfg, tables, m, rngs)
+        earlier.extend(weakref.ref(r) for r in records)
+        return records
+
+    run_chain = scaling.run_chain
+    monkeypatch.setattr(scaling, "run_chain", tracking_run_chain)
+    m = TfiModel(4)
+    cfg = GfmcConfig(chain_length=2000, warmup=100, l_reweight=50)
+    trial, _ = build_trial(m, "jastrow")
+    ests = scaling._run_replicate((m, cfg, trial, [(60, 0), (60, 1), (120, 0)], 3, "average"))
+    assert len(ests) == len(earlier) == 3
+
+
+def test_run_sweep_runs_each_distinct_walker_once(monkeypatch):
+    walkers = []
+
+    def counting_run_chain(cfg, tables, m, rngs):
+        walkers.extend([m.L] * len(tables))
+        return run_chain(cfg, tables, m, rngs)
+
+    run_chain = scaling.run_chain
+    monkeypatch.setattr(scaling, "run_chain", counting_run_chain)
+    points = run_sweep([100, 100, 200], [4, 4], "jastrow", GfmcConfig(chain_length=2000),
+                       replicates=2, threads=1)
+    assert [(p.L, p.M) for p in points] == [(4, 100), (4, 200)]
+    assert walkers == [4] * 4
+
+
 def test_run_sweep_average_estimator_differs():
     rew = _tiny_sweep(estimator="reweighted")
     avg = _tiny_sweep(estimator="average")
@@ -256,6 +330,19 @@ def test_summarize_records_fit_failures():
     res = summarize(points, targets=(1e-6,))
     assert res.per_L["8"]["M_star"][repr(1e-6)] is None
     assert "error" in res.global_fits[repr(1e-6)]
+
+
+def test_summarize_prefactor_method_records_a_failed_prefactor_fit():
+    # errors above the window leave no point for the prefactor fit
+    points = _make_points([100, 200, 400], [0.5, 0.4, 0.3], L=8)
+    res = summarize(points, targets=(0.01, 0.02), crossing_method="prefactor")
+    entry = res.per_L["8"]
+    assert entry["c"] is None
+    assert entry["c_error"].startswith("only 0 points")
+    for t in (0.01, 0.02):
+        assert entry["M_star"][repr(t)] is None
+        assert entry["crossings"][repr(t)] == {"error": entry["c_error"]}
+        assert "error" in res.global_fits[repr(t)]
 
 
 def test_write_sweep_csv_roundtrip(tmp_path):
