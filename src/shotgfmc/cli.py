@@ -29,9 +29,11 @@ from .exact import ground_state
 from .gfmc import GfmcConfig, average_local_energy, reweighted_energy
 from .model import TfiModel
 from .scaling import (
+    CROSSING_METHODS,
     ESTIMATORS,
     TRIAL_KINDS,
     build_trial,
+    reference_energy,
     run_sweep,
     run_walkers,
     runtime_for_shots,
@@ -170,7 +172,7 @@ def _cmd_gfmc(args) -> int:
     t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
-    gs_energy = (gs if gs is not None else ground_state(m)).energy
+    gs_energy = reference_energy(m, gs)
     base = _gfmc_config(cfg)
     rew, avg = [], []
     chain_rows = []
@@ -237,15 +239,14 @@ def _cmd_sweep(args) -> int:
         jastrow=JastrowParams(cfg.lambda1, cfg.lambda2),
         threads=args.threads,
     )
-    result = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
-                       band=cfg.crossing_band, crossing_method=cfg.crossing_method)
+    summary = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
+                        band=cfg.crossing_band, crossing_method=cfg.crossing_method)
     # a sweep that fails leaves no output directory
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     if "csv" in cfg.formats:
         write_sweep_csv(points, os.path.join(cfg.out_dir, "sweep_points.csv"))
         outputs.append("sweep_points.csv")
-    summary = result.to_dict()
     cfg_dict = cfg.to_dict()
     summary["provenance"] = {
         "base_seed": cfg.base_seed,
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prefactor fit window lo,hi")
     sw.add_argument("--band", type=float, dest="crossing_band", metavar="BAND",
                     help="crossing fit band factor")
-    sw.add_argument("--crossing-method", choices=("local", "prefactor"))
+    sw.add_argument("--crossing-method", choices=CROSSING_METHODS)
     sw.add_argument("--estimator", choices=ESTIMATORS)
     _add_common(sw)
     sw.set_defaults(handler=_cmd_sweep)

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field, fields
 
 from .gfmc import DEFAULT_CHAIN_LENGTH, DEFAULT_REWEIGHT_WINDOW, DEFAULT_WARMUP
 from .scaling import (
+    CROSSING_METHODS,
     DEFAULT_CROSSING_BAND,
     DEFAULT_FIT_WINDOW,
     DEFAULT_TARGETS,
     ESTIMATORS,
     TRIAL_KINDS,
 )
+from .trial import JastrowParams
 
 DEFAULT_BASE_SEED = 12345
 
@@ -82,8 +84,8 @@ class RunConfig:
     J: float = _setting("model.J", _as_real, default=1.0)
     Gamma: float = _setting("model.Gamma", _as_real, default=1.0)
     trial_kind: str = _setting("trial.kind", _as_str, default="jastrow")
-    lambda1: float = _setting("trial.lambda1", _as_real, default=0.233)
-    lambda2: float = _setting("trial.lambda2", _as_real, default=0.083)
+    lambda1: float = _setting("trial.lambda1", _as_real, default=JastrowParams.lambda1)
+    lambda2: float = _setting("trial.lambda2", _as_real, default=JastrowParams.lambda2)
     lambda_shift: float | str = _setting("gfmc.lambda_shift", _auto_or_real, default="auto")
     chain_length: int = _setting("gfmc.chain_length", _as_int, default=DEFAULT_CHAIN_LENGTH)
     warmup: int = _setting("gfmc.warmup", _as_int, default=DEFAULT_WARMUP)
@@ -137,7 +139,7 @@ class RunConfig:
         _require(len(self.fit_window) == 2 and 0 < self.fit_window[0] < self.fit_window[1],
                  "experiment.fit_window must be [lo, hi] with 0 < lo < hi")
         _require(self.crossing_band > 1, "experiment.crossing_band must exceed 1")
-        _require(self.crossing_method in ("local", "prefactor"),
+        _require(self.crossing_method in CROSSING_METHODS,
                  "experiment.crossing_method must be 'local' or 'prefactor'")
         _require(self.estimator in ESTIMATORS, f"experiment.estimator must be one of {ESTIMATORS}")
         _require(all(f in OUTPUT_FORMATS for f in self.formats),

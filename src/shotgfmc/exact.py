@@ -57,12 +57,11 @@ def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
     if v.shape != (m.n_states,):
         raise ValueError(f"vector must have length {m.n_states}")
     out = all_diagonal_energies(m) * v
-    if m.Gamma != 0.0:
-        flipped = np.empty(m.n_states)
-        for k in range(m.L):
-            flip_bit(v, k, flipped)
-            flipped *= m.Gamma
-            out -= flipped
+    flipped = np.empty(m.n_states)
+    for k in range(m.L):
+        flip_bit(v, k, flipped)
+        flipped *= m.Gamma
+        out -= flipped
     return out
 
 
@@ -118,7 +117,6 @@ class _SectorAction:
     """H on the fully symmetric sector: diagonal plus L gathers, no scatter."""
 
     def __init__(self, m: TfiModel, orbit: np.ndarray, reps: np.ndarray, sizes: np.ndarray):
-        self.Gamma = m.Gamma
         self.diag = -m.J * bond_correlations(m, 1, reps).astype(np.float64)
         self.nbr = np.stack([orbit[reps ^ (1 << k)] for k in range(m.L)])
         self.weight = m.Gamma * np.sqrt(sizes / sizes[self.nbr])
@@ -126,11 +124,10 @@ class _SectorAction:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
-        if self.Gamma != 0.0:
-            for nbr, weight in zip(self.nbr, self.weight):
-                np.take(v, nbr, out=self.gathered)
-                self.gathered *= weight
-                out -= self.gathered
+        for nbr, weight in zip(self.nbr, self.weight):
+            np.take(v, nbr, out=self.gathered)
+            self.gathered *= weight
+            out -= self.gathered
         return out
 
 

@@ -40,10 +40,6 @@ class TfiModel:
         return (1 << self.L) - 1
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).astype(np.int64)
-
-
 def check_table_size(m: TfiModel) -> None:
     """Raise ValueError before a full-basis array is built for L > MAX_TABLE_L."""
     if m.L > MAX_TABLE_L:
@@ -56,7 +52,7 @@ def bond_correlations(m: TfiModel, offset: int, states: np.ndarray | None = None
     idx = np.arange(m.n_states, dtype=np.int64) if states is None else states.astype(np.int64)
     d = offset % L
     rot = ((idx >> d) | ((idx & ((1 << d) - 1)) << (L - d))) if d else idx
-    return L - 2 * _popcount(idx ^ rot)
+    return L - 2 * np.bitwise_count(idx ^ rot).astype(np.int64)
 
 
 def all_diagonal_energies(m: TfiModel) -> np.ndarray:

@@ -24,7 +24,7 @@ and ``build_trial`` builds the trial table they share.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from .gfmc import (
     reweighted_energy,
     run_chain,
 )
-from .model import TfiModel
+from .model import TfiModel, check_table_size
 from .seeding import derive_seed
 from .shots import noisy_amplitudes, sample_counts
 from .trial import JastrowParams, build_table, check_ground_state_gamma
@@ -51,10 +51,14 @@ DEFAULT_TARGETS = (0.005, 0.01, 0.02)
 DEFAULT_FIT_WINDOW = (0.005, 0.1)
 DEFAULT_CROSSING_BAND = 5.0
 ESTIMATORS = ("reweighted", "average")
+CROSSING_METHODS = ("local", "prefactor")
 TRIAL_KINDS = ("jastrow", "exact-groundstate")
 
-# empirical crossing scale used to center the default geometric M grids
+# empirical crossing scale used to center the default geometric M grids,
+# and the grid's factor-2 steps below and above that center
 _GRID_CENTER = {"jastrow": (29.9, 0.982), "exact-groundstate": (37.8, 0.970)}
+_GRID_STEPS_BELOW = 9
+_GRID_STEPS_ABOVE = 2
 
 
 class FitError(RuntimeError):
@@ -79,14 +83,12 @@ class SweepPoint:
         self.std_error = float(signed.std(ddof=1) / math.sqrt(len(signed)))
 
 
-def default_m_grid(L: int, trial_kind: str, points_below: int = 9,
-                   points_above: int = 2) -> list[int]:
+def default_m_grid(L: int, trial_kind: str) -> list[int]:
     """Geometric factor-2 grid centered on the expected 0.005 crossing."""
     a_ref, b_ref = _GRID_CENTER[trial_kind]
     center = a_ref * 2.0 ** (b_ref * L)
-    grid = sorted({max(1, round(center * 2.0 ** j))
-                   for j in range(-points_below, points_above + 1)})
-    return grid
+    return sorted({max(1, round(center * 2.0 ** j))
+                   for j in range(-_GRID_STEPS_BELOW, _GRID_STEPS_ABOVE + 1)})
 
 
 def build_trial(m: TfiModel, kind: str, jastrow: JastrowParams | None = None):
@@ -155,9 +157,9 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     threads=None means one per core. Walker seeds depend only on
     (base_seed, L, M, rep) and a record not on its task or population,
     so neither the schedule nor threads can change any number. A failed
-    task aborts the sweep with its (L, M, rep) range attached. Arguments
-    are checked, and the exact trial at Gamma = 0 rejected, before any
-    solve.
+    task aborts the sweep with its (L, M, rep) range attached. Arguments,
+    every size and its shift are checked, and the exact trial at
+    Gamma = 0 rejected, before any solve.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -169,18 +171,23 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    # before the shift check, whose auto rule also fails at Gamma = 0
+    if trial_kind == "exact-groundstate":
+        check_ground_state_gamma(Gamma)
+    models = [TfiModel(L, J, Gamma) for L in sorted(set(L_grid))]
+    for m in models:
+        check_table_size(m)
+        base_cfg.resolve_lambda_shift(m)
     tasks = []
     e0_per_site = {}
-    for L in sorted(set(L_grid)):
-        m = TfiModel(L, J, Gamma)
+    for m in models:
         trial, gs = build_trial(m, trial_kind, jastrow)
-        e0_per_site[L] = (gs.energy if gs is not None else reference_energy(m)) / L
-        cfg = replace(base_cfg, lambda_shift=base_cfg.resolve_lambda_shift(m))
-        ms = default_m_grid(L, trial_kind) if m_grid is None else sorted(set(m_grid))
+        e0_per_site[m.L] = reference_energy(m, gs) / m.L
+        ms = default_m_grid(m.L, trial_kind) if m_grid is None else sorted(set(m_grid))
         walkers = [(int(M), rep) for M in ms for rep in range(replicates)]
         width = -(-len(walkers) // threads)
         for i in range(0, len(walkers), width):
-            tasks.append((m, cfg, trial, walkers[i:i + width], base_seed, estimator))
+            tasks.append((m, base_cfg, trial, walkers[i:i + width], base_seed, estimator))
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -196,9 +203,13 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
             for (L, M) in sorted(ests)]
 
 
-def reference_energy(m: TfiModel) -> float:
-    """Exact ground-state energy of m (Lanczos), the sweep's E0 reference."""
-    return ground_state(m).energy
+def reference_energy(m: TfiModel, gs=None) -> float:
+    """Exact ground-state energy of m, the E0 reference of sweep and gfmc.
+
+    gs, the GroundStateResult of m if one was already solved, is used as
+    is; without it m is solved by Lanczos.
+    """
+    return (gs if gs is not None else ground_state(m)).energy
 
 
 # ---------------------------------------------------------------------------
@@ -298,42 +309,20 @@ def fit_exponential(m_star_by_L: dict, L_min_exclusive: int = 6) -> ExponentialF
     return ExponentialFit(float(2.0 ** log2a), float(b), len(items))
 
 
-@dataclass
-class ScalingResult:
-    trial_kind: str
-    estimator: str
-    targets: tuple
-    window: tuple
-    crossing_method: str
-    crossing_band: float
-    per_L: dict
-    global_fits: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SUMMARY_SCHEMA,
-            "trial_kind": self.trial_kind,
-            "estimator": self.estimator,
-            "targets": list(self.targets),
-            "window": list(self.window),
-            "crossing_method": self.crossing_method,
-            "crossing_band": self.crossing_band,
-            "per_L": self.per_L,
-            "global": self.global_fits,
-        }
-
-
 def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
               window=DEFAULT_FIT_WINDOW, band: float = DEFAULT_CROSSING_BAND,
-              L_min_exclusive: int = 6, crossing_method: str = "local") -> ScalingResult:
+              L_min_exclusive: int = 6, crossing_method: str = "local") -> dict:
     """Per-L prefactors and crossings, then the global exponential fits.
+
+    Returns the scaling_summary.v1 dict, as written to scaling_summary.json
+    (the sweep command adds its provenance).
 
     crossing_method "local" uses fit_crossing per target;
     "prefactor" derives every crossing from the single windowed
     M^(-1/2) prefactor via crossing_M. Fit failures are recorded per
     (L, target) instead of aborting.
     """
-    if crossing_method not in ("local", "prefactor"):
+    if crossing_method not in CROSSING_METHODS:
         raise ValueError("crossing_method must be 'local' or 'prefactor'")
     by_L: dict[int, list[SweepPoint]] = {}
     for p in points:
@@ -382,10 +371,17 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
         except FitError as exc:
             global_fits[repr(t)] = {"error": str(exc)}
 
-    trial_kind = points[0].trial_kind if points else "jastrow"
-    estimator = points[0].estimator if points else "reweighted"
-    return ScalingResult(trial_kind, estimator, tuple(targets), tuple(window),
-                         crossing_method, band, per_L, global_fits)
+    return {
+        "schema_version": SUMMARY_SCHEMA,
+        "trial_kind": points[0].trial_kind if points else "jastrow",
+        "estimator": points[0].estimator if points else "reweighted",
+        "targets": list(targets),
+        "window": list(window),
+        "crossing_method": crossing_method,
+        "crossing_band": band,
+        "per_L": per_L,
+        "global": global_fits,
+    }
 
 
 # ---------------------------------------------------------------------------

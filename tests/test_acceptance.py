@@ -239,15 +239,15 @@ def test_criterion_5b_local_energy_error_ratio(scans):
 
 def _global_b_a(points, eps):
     res = summarize(points)
-    g = res.global_fits[repr(eps)]
+    g = res["global"][repr(eps)]
     return g.get("b"), g.get("a")
 
 
 def _m_star_shape(points, eps):
     """(monotone in L, R^2 of the exponential fit over L > 6)."""
     res = summarize(points)
-    fit = res.global_fits[repr(eps)]
-    m_star = {int(L): res.per_L[L]["M_star"][repr(eps)] for L in res.per_L}
+    fit = res["global"][repr(eps)]
+    m_star = {int(L): res["per_L"][L]["M_star"][repr(eps)] for L in res["per_L"]}
     sizes = sorted(L for L, v in m_star.items() if v is not None)
     values = [m_star[L] for L in sizes]
     monotone = all(b > a for a, b in zip(values, values[1:]))

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from shotgfmc import cli, exact, gfmc, scaling, shots
+from shotgfmc import __version__, cli, exact, gfmc, scaling, shots
 from shotgfmc.cli import main
 from shotgfmc.config import ConfigError, RunConfig, from_dict, parse_config
 from shotgfmc.exact import ground_state
@@ -610,6 +610,30 @@ def test_cli_sweep_end_to_end_deterministic(tmp_path, capsys):
     assert set(manifest["outputs"]) >= {"sweep_points.csv", "scaling_summary.json"}
     rows = (d1 / "sweep_points.csv").read_text().splitlines()
     assert len(rows) == 2 + 2 * 3
+
+
+def test_cli_sweep_summary_is_summarize_plus_provenance(tmp_path, capsys, monkeypatch):
+    swept = []
+
+    def capturing_run_sweep(*args, **kwargs):
+        swept.extend(run_sweep(*args, **kwargs))
+        return swept
+
+    run_sweep = cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", capturing_run_sweep)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "60,120", "--replicates", "3",
+        "--chain-length", "3000", "--out-dir", str(out_dir), "--seed", "11", "--threads", "1",
+    ])
+    assert code == 0, err
+    written = json.loads((out_dir / "scaling_summary.json").read_text())
+    assert json.loads(out) == written
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert written.pop("provenance") == {"base_seed": 11,
+                                         "config_hash": manifest["config_hash"],
+                                         "tool_version": __version__}
+    assert written == json.loads(json.dumps(scaling.summarize(swept)))
 
 
 @pytest.mark.parametrize("stale", [

@@ -6,7 +6,7 @@ import pytest
 
 from shotgfmc import gfmc, scaling
 from shotgfmc.gfmc import GfmcConfig
-from shotgfmc.model import TfiModel
+from shotgfmc.model import MAX_TABLE_L, TfiModel
 from shotgfmc.scaling import (
     FitError,
     SECONDS_PER_YEAR,
@@ -304,12 +304,12 @@ def test_summarize_structure_and_json():
         points.extend(_make_points(Ms, errors, L=L))
     res = summarize(points, targets=(0.005, 0.01), window=(0.005, 0.1), band=5.0,
                     L_min_exclusive=7)
-    payload = json.dumps(res.to_dict())
-    assert "per_L" in res.to_dict() and "global" in res.to_dict()
-    g = res.global_fits[repr(0.005)]
+    payload = json.dumps(res)
+    assert "per_L" in res and "global" in res
+    g = res["global"][repr(0.005)]
     # errors scale as 2^(L/2) -> M* doubles per extra site -> b = 1
     assert g["b"] == pytest.approx(1.0, abs=1e-6)
-    entry = res.per_L["8"]
+    entry = res["per_L"]["8"]
     assert entry["c"] == pytest.approx(3.0, rel=1e-6)
     assert entry["M_star"][repr(0.005)] == pytest.approx((3.0 / 0.005) ** 2, rel=1e-3)
 
@@ -319,7 +319,7 @@ def test_summarize_prefactor_method_uses_crossing_identity():
     errors = [2.5 * M ** -0.5 for M in Ms]
     points = _make_points(Ms, errors, L=8)
     res = summarize(points, targets=(0.01,), crossing_method="prefactor")
-    entry = res.per_L["8"]
+    entry = res["per_L"]["8"]
     assert entry["M_star"][repr(0.01)] == pytest.approx(
         crossing_M(entry["c"], 0.01), rel=1e-12
     )
@@ -328,21 +328,21 @@ def test_summarize_prefactor_method_uses_crossing_identity():
 def test_summarize_records_fit_failures():
     points = _make_points([100, 200, 400], [0.5, 0.4, 0.3], L=8)
     res = summarize(points, targets=(1e-6,))
-    assert res.per_L["8"]["M_star"][repr(1e-6)] is None
-    assert "error" in res.global_fits[repr(1e-6)]
+    assert res["per_L"]["8"]["M_star"][repr(1e-6)] is None
+    assert "error" in res["global"][repr(1e-6)]
 
 
 def test_summarize_prefactor_method_records_a_failed_prefactor_fit():
     # errors above the window leave no point for the prefactor fit
     points = _make_points([100, 200, 400], [0.5, 0.4, 0.3], L=8)
     res = summarize(points, targets=(0.01, 0.02), crossing_method="prefactor")
-    entry = res.per_L["8"]
+    entry = res["per_L"]["8"]
     assert entry["c"] is None
     assert entry["c_error"].startswith("only 0 points")
     for t in (0.01, 0.02):
         assert entry["M_star"][repr(t)] is None
         assert entry["crossings"][repr(t)] == {"error": entry["c_error"]}
-        assert "error" in res.global_fits[repr(t)]
+        assert "error" in res["global"][repr(t)]
 
 
 def test_write_sweep_csv_roundtrip(tmp_path):
@@ -363,6 +363,35 @@ def test_write_sweep_csv_roundtrip(tmp_path):
 def test_reference_energy_cache():
     m = TfiModel(4)
     assert reference_energy(m) == pytest.approx(ground_state(m).energy, abs=1e-10)
+
+
+def test_reference_energy_takes_a_given_solve_without_solving(monkeypatch):
+    m = TfiModel(6)
+    gs = ground_state(m)
+
+    def no_solve(m, *args, **kwargs):
+        raise AssertionError(f"solved L={m.L}")
+
+    monkeypatch.setattr(scaling, "ground_state", no_solve)
+    assert reference_energy(m, gs) == gs.energy
+
+
+@pytest.mark.parametrize("L_grid, Gamma, message", [
+    ([8, MAX_TABLE_L + 1], 1.0, f"full-basis table needs L <= {MAX_TABLE_L}"),
+    ([8], 0.0, "auto shift needs Gamma > 0"),
+], ids=["oversized-L", "auto-shift-at-Gamma-0"])
+def test_run_sweep_rejects_a_bad_size_before_any_solve(monkeypatch, L_grid, Gamma, message):
+    solves = []
+
+    def counting_ground_state(m, *args, **kwargs):
+        solves.append(m.L)
+        return ground_state(m, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "ground_state", counting_ground_state)
+    with pytest.raises(ValueError, match=message):
+        run_sweep([100], L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
+                  Gamma=Gamma, threads=1)
+    assert solves == []
 
 
 @pytest.mark.parametrize("bad", [
