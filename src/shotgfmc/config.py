@@ -107,6 +107,12 @@ class RunConfig:
                              default_factory=lambda: ["csv", "json"])
 
     def validate(self) -> "RunConfig":
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            for v in value if isinstance(value, list) else [value]:
+                # JSON has no spelling for inf or nan, so no output may hold one
+                _require(not isinstance(v, float) or math.isfinite(v),
+                         f"{setting.metadata['key']} must be finite, got {v!r}")
         _require(len(self.L_list) >= 1, "model.L must give at least one size")
         for L in self.L_list:
             _require(isinstance(L, int) and L >= 2, f"model.L entries must be integers >= 2, got {L!r}")
@@ -114,10 +120,8 @@ class RunConfig:
         _require(self.Gamma >= 0, "model.Gamma must satisfy Gamma >= 0")
         _require(self.trial_kind in TRIAL_KINDS, f"trial.kind must be one of {TRIAL_KINDS}")
         if self.lambda_shift != "auto":
-            _require(isinstance(self.lambda_shift, (int, float))
-                     and math.isfinite(self.lambda_shift),
-                     f"gfmc.lambda_shift must be a finite number or 'auto', "
-                     f"got {self.lambda_shift!r}")
+            _require(isinstance(self.lambda_shift, (int, float)),
+                     f"gfmc.lambda_shift must be a number or 'auto', got {self.lambda_shift!r}")
             for L in self.L_list:
                 _require(self.lambda_shift > L * self.J,
                          f"gfmc.lambda_shift must satisfy lambda_shift > L*J = {L * self.J}")

@@ -27,16 +27,16 @@ preallocated array (BASIS_CAPACITY rows, doubled when full), so
 reorthogonalization and the Ritz vector work on a view of the first rows
 and never copy the basis.
 
-``apply_hamiltonian`` is the full-space action on any vector: the diagonal
-times v, then Gamma * v[x ^ 1<<k] (read with ``model.flip_bit``)
-subtracted for k = 0, 1, ..., L-1 in that order, which fixes its bits.
+``apply_hamiltonian`` is the full-space action on any vector, the
+diagonal times v minus Gamma times ``model.neighbour_sum(v, L)``: the
+same flip loop, in the same order, as the local-energy table.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, all_diagonal_energies, bond_correlations, check_table_size, flip_bit
+from .model import TfiModel, all_diagonal_energies, check_table_size, neighbour_sum, rotate_right
 from .trial import AmplitudeTable
 
 # initial row count of the Krylov basis array; it doubles when full
@@ -56,13 +56,7 @@ def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n_states,):
         raise ValueError(f"vector must have length {m.n_states}")
-    out = all_diagonal_energies(m) * v
-    flipped = np.empty(m.n_states)
-    for k in range(m.L):
-        flip_bit(v, k, flipped)
-        flipped *= m.Gamma
-        out -= flipped
-    return out
+    return all_diagonal_energies(m) * v - m.Gamma * neighbour_sum(v, m.L)
 
 
 def _bit_reversal(bits: int) -> np.ndarray:
@@ -92,7 +86,7 @@ def symmetry_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if reflect:
             x = (low_rev[x & ((1 << low) - 1)] << (L - low)) | high_rev[x >> low]
         if shift:
-            x = (x >> shift) | ((x & ((1 << shift) - 1)) << (L - shift))
+            x = rotate_right(x, shift, L)
         return x ^ mask if flip else x
 
     group = [(reflect, shift, flip)
@@ -117,7 +111,7 @@ class _SectorAction:
     """H on the fully symmetric sector: diagonal plus L gathers, no scatter."""
 
     def __init__(self, m: TfiModel, orbit: np.ndarray, reps: np.ndarray, sizes: np.ndarray):
-        self.diag = -m.J * bond_correlations(m, 1, reps).astype(np.float64)
+        self.diag = all_diagonal_energies(m, reps)
         self.nbr = np.stack([orbit[reps ^ (1 << k)] for k in range(m.L)])
         self.weight = m.Gamma * np.sqrt(sizes / sizes[self.nbr])
         self.gathered = np.empty(len(reps))

@@ -46,29 +46,37 @@ def check_table_size(m: TfiModel) -> None:
         raise ValueError(f"full-basis table needs L <= {MAX_TABLE_L}, got L={m.L}")
 
 
+def rotate_right(x, d: int, L: int):
+    """x with its L low bits rotated right by d (0 <= d < L): bit k moves to k - d mod L."""
+    return (x >> d) | ((x & ((1 << d) - 1)) << (L - d))
+
+
 def bond_correlations(m: TfiModel, offset: int, states: np.ndarray | None = None) -> np.ndarray:
     """sum_k s_k s_{k+offset mod L} for every basis state (or the given ones), as int64."""
-    L = m.L
     idx = np.arange(m.n_states, dtype=np.int64) if states is None else states.astype(np.int64)
-    d = offset % L
-    rot = ((idx >> d) | ((idx & ((1 << d) - 1)) << (L - d))) if d else idx
-    return L - 2 * np.bitwise_count(idx ^ rot).astype(np.int64)
+    return m.L - 2 * np.bitwise_count(idx ^ rotate_right(idx, offset % m.L, m.L)).astype(np.int64)
 
 
-def all_diagonal_energies(m: TfiModel) -> np.ndarray:
-    """-J * sum_k s_k s_{k+1} over the L periodic bonds, for every basis state."""
-    return -m.J * bond_correlations(m, 1).astype(np.float64)
+def all_diagonal_energies(m: TfiModel, states: np.ndarray | None = None) -> np.ndarray:
+    """-J * sum_k s_k s_{k+1} over the L periodic bonds, for every basis
+    state (or the given ones)."""
+    return -m.J * bond_correlations(m, 1, states).astype(np.float64)
 
 
-def flip_bit(v: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """out[x] = v[x ^ (1 << k)] for every basis state x; returns out.
+def neighbour_sum(v: np.ndarray, L: int) -> np.ndarray:
+    """acc[x] = sum_k v[x ^ (1 << k)], added for k = 0, 1, ..., L-1 into zeros.
 
-    Viewed as (blocks, 2, 2^k), flipping bit k swaps the two middle
-    halves, so two strided copies do it with no index array. out must
-    not overlap v.
+    The order fixes the bits of every local energy and of H v. Viewed as
+    (blocks, 2, 2^k), flipping bit k swaps the two middle halves, so two
+    strided copies into one scratch vector read v[x ^ 1<<k] with no index
+    array; the add into acc is then contiguous.
     """
-    src = v.reshape(-1, 2, 1 << k)
-    dst = out.reshape(-1, 2, 1 << k)
-    dst[:, 0] = src[:, 1]
-    dst[:, 1] = src[:, 0]
-    return out
+    acc = np.zeros(len(v))
+    flipped = np.empty(len(v))
+    for k in range(L):
+        src = v.reshape(-1, 2, 1 << k)
+        dst = flipped.reshape(-1, 2, 1 << k)
+        dst[:, 0] = src[:, 1]
+        dst[:, 1] = src[:, 0]
+        acc += flipped
+    return acc

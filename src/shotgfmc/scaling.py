@@ -157,9 +157,9 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     threads=None means one per core. Walker seeds depend only on
     (base_seed, L, M, rep) and a record not on its task or population,
     so neither the schedule nor threads can change any number. A failed
-    task aborts the sweep with its (L, M, rep) range attached. Arguments,
-    every size and its shift are checked, and the exact trial at
-    Gamma = 0 rejected, before any solve.
+    task aborts the sweep with its (L, M, rep) range attached. Arguments
+    (empty grids included), every size and its shift are checked, and the
+    exact trial at Gamma = 0 rejected, before any solve.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -167,6 +167,8 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         raise ValueError(f"trial_kind must be one of {TRIAL_KINDS}")
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    if len(L_grid) == 0 or (m_grid is not None and len(m_grid) == 0):
+        raise ValueError("L_grid and m_grid must each give at least one value")
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:

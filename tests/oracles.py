@@ -192,15 +192,15 @@ def diagonal_energies_direct(L: int, J: float) -> np.ndarray:
 def apply_hamiltonian_gather(v: np.ndarray, L: int, J: float, Gamma: float) -> np.ndarray:
     """H v with one XOR index gather per site.
 
-    Per element it subtracts Gamma * v[x ^ 1<<k] in increasing k, the
-    order the package's matvec must keep to agree bit for bit.
+    The flip-neighbor sum of v[x ^ 1<<k] is added in increasing k into
+    zeros and then H v = diag * v - Gamma * sum, the order the package's
+    matvec must keep to agree bit for bit.
     """
     idx = np.arange(1 << L, dtype=np.int64)
-    out = diagonal_energies_direct(L, J) * v
-    if Gamma != 0.0:
-        for k in range(L):
-            out -= Gamma * v[idx ^ (1 << k)]
-    return out
+    acc = np.zeros(1 << L)
+    for k in range(L):
+        acc += v[idx ^ (1 << k)]
+    return diagonal_energies_direct(L, J) * v - Gamma * acc
 
 
 def local_energy_table_gather(amps: np.ndarray, L: int, J: float, Gamma: float):

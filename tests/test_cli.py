@@ -95,6 +95,41 @@ def test_config_rejects_non_finite_lambda_shift(tmp_path, lam):
         parse_config(path)
 
 
+# every real setting, each with the value it is given in a config file
+REAL_SETTINGS = [
+    ("model", "J", "{}"), ("model", "Gamma", "{}"), ("trial", "lambda1", "{}"),
+    ("trial", "lambda2", "{}"), ("experiment", "targets", "[0.01, {}]"),
+    ("experiment", "fit_window", "[0.001, {}]"), ("experiment", "crossing_band", "{}"),
+]
+
+
+@pytest.mark.parametrize("section, key, text", REAL_SETTINGS)
+@pytest.mark.parametrize("spelling", ["Infinity", "-Infinity", "NaN"])
+def test_config_file_rejects_non_finite_reals(tmp_path, section, key, text, spelling):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{section}": {{"{key}": {text.format(spelling)}}}}}')
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--band", "inf"], "experiment.crossing_band"),
+    (["--window", "0.001,inf"], "experiment.fit_window"),
+    (["--targets", "inf"], "experiment.targets"),
+    (["--targets", "nan"], "experiment.targets"),
+])
+def test_cli_sweep_rejects_non_finite_flags(tmp_path, capsys, flags, key):
+    code, out, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
+        "--chain-length", "2000", "--threads", "1",
+        "--out-dir", str(tmp_path / "out"), *flags,
+    ])
+    assert code == 1
+    assert out == ""
+    assert f"{key} must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gfmc_rejects_infinite_lambda_shift(capsys):
     code, out, err = _run(capsys, ["gfmc", "--L", "4", "--lambda-shift", "inf",
                                    "--chain-length", "2000", "--warmup", "100",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shotgfmc.exact import ground_state
-from shotgfmc._kernels import _RUN_WINDOW, sliding_window_sums
 from shotgfmc.gfmc import (
+    _RUN_WINDOW,
     _WINDOW_RECOMPUTE_EVERY,
     ChainRecord,
     GfmcConfig,
@@ -15,6 +15,7 @@ from shotgfmc.gfmc import (
     local_energy_table,
     reweighted_energy,
     run_chain,
+    sliding_window_sums,
 )
 from shotgfmc.model import TfiModel, all_diagonal_energies
 from shotgfmc.shots import ShotCounts, noisy_amplitudes, sample_counts
@@ -480,7 +481,7 @@ def test_reweighted_constant_energy_identity():
     cfg = GfmcConfig(chain_length=600, warmup=50, l_reweight=100)
     rec = ChainRecord(np.zeros(500, dtype=np.int64), b, np.full(500, -3.7),
                       cfg, 10.0)
-    est = reweighted_energy(rec, 100)
+    est = reweighted_energy(rec)
     assert est == pytest.approx(-3.7, rel=1e-12)
 
 
@@ -490,7 +491,7 @@ def test_reweighted_equal_b_reduces_to_plain_mean():
     b = np.full(400, 7.25)
     cfg = GfmcConfig(chain_length=500, warmup=50, l_reweight=100)
     rec = ChainRecord(np.zeros(400, dtype=np.int64), b, e, cfg, 10.0)
-    est = reweighted_energy(rec, 100)
+    est = reweighted_energy(rec)
     assert est == float(np.mean(e[100:]))
 
 
@@ -501,7 +502,7 @@ def test_reweighted_window_sums_match_bruteforce():
     e = rng.normal(size=25_000)
     cfg = GfmcConfig(chain_length=26_000, warmup=100, l_reweight=100)
     rec = ChainRecord(np.zeros(25_000, dtype=np.int64), b, e, cfg, 16.0)
-    est = reweighted_energy(rec, 100)
+    est = reweighted_energy(rec)
     logb = np.log(b)
     sums = np.convolve(logb, np.ones(100), mode="valid")[: 25_000 - 100]
     g = np.exp(sums - sums.max())
@@ -514,7 +515,7 @@ def test_reweighted_record_too_short():
     rec = ChainRecord(np.zeros(50, dtype=np.int64), np.full(50, 2.0),
                       np.full(50, 1.0), cfg, 3.0)
     with pytest.raises(ValueError):
-        reweighted_energy(rec, 100)
+        reweighted_energy(rec)
 
 
 def test_average_local_energy_trivial():

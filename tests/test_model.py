@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shotgfmc.exact import apply_hamiltonian
-from shotgfmc.model import TfiModel, all_diagonal_energies, bond_correlations, flip_bit
+from shotgfmc.model import TfiModel, all_diagonal_energies, bond_correlations, neighbour_sum
 
 from oracles import dense_hamiltonian, spin
 
@@ -37,6 +37,9 @@ def test_diagonal_energy_matches_dense_oracle():
         m = TfiModel(L, J=0.7, Gamma=1.3)
         ref = np.diag(dense_hamiltonian(L, 0.7, 1.3))
         assert np.allclose(all_diagonal_energies(m), ref, atol=1e-12)
+        # the given states only, in the given order and dtype
+        states = np.array([(1 << L) - 1, 0, 1], dtype=np.int32)
+        assert np.array_equal(all_diagonal_energies(m, states), all_diagonal_energies(m)[states])
 
 
 def test_connected_set_example_l3():
@@ -84,10 +87,10 @@ def test_bond_correlations_against_direct_loop():
 
 
 @pytest.mark.parametrize("L", [2, 3, 7])
-def test_flip_bit_is_the_xor_permutation(L):
+def test_neighbour_sum_is_the_xor_gather_sum(L):
     v = np.random.default_rng(L).normal(size=1 << L)
     idx = np.arange(1 << L)
-    out = np.empty(1 << L)
+    ref = np.zeros(1 << L)
     for k in range(L):
-        assert flip_bit(v, k, out) is out
-        assert np.array_equal(out, v[idx ^ (1 << k)])
+        ref += v[idx ^ (1 << k)]
+    assert neighbour_sum(v, L).tobytes() == ref.tobytes()

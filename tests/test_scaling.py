@@ -376,21 +376,36 @@ def test_reference_energy_takes_a_given_solve_without_solving(monkeypatch):
     assert reference_energy(m, gs) == gs.energy
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The sizes scaling.ground_state solves, in call order."""
+    sizes = []
+
+    def counting_ground_state(m, *args, **kwargs):
+        sizes.append(m.L)
+        return ground_state(m, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "ground_state", counting_ground_state)
+    return sizes
+
+
 @pytest.mark.parametrize("L_grid, Gamma, message", [
     ([8, MAX_TABLE_L + 1], 1.0, f"full-basis table needs L <= {MAX_TABLE_L}"),
     ([8], 0.0, "auto shift needs Gamma > 0"),
 ], ids=["oversized-L", "auto-shift-at-Gamma-0"])
-def test_run_sweep_rejects_a_bad_size_before_any_solve(monkeypatch, L_grid, Gamma, message):
-    solves = []
-
-    def counting_ground_state(m, *args, **kwargs):
-        solves.append(m.L)
-        return ground_state(m, *args, **kwargs)
-
-    monkeypatch.setattr(scaling, "ground_state", counting_ground_state)
+def test_run_sweep_rejects_a_bad_size_before_any_solve(solves, L_grid, Gamma, message):
     with pytest.raises(ValueError, match=message):
         run_sweep([100], L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
                   Gamma=Gamma, threads=1)
+    assert solves == []
+
+
+@pytest.mark.parametrize("m_grid, L_grid", [([], [8]), ([100], [])],
+                         ids=["no-budgets", "no-sizes"])
+def test_run_sweep_rejects_an_empty_grid_before_any_solve(solves, m_grid, L_grid):
+    with pytest.raises(ValueError, match="at least one value"):
+        run_sweep(m_grid, L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
+                  threads=1)
     assert solves == []
 
 
