@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -75,9 +76,17 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, command: str, cfg_dict: dict, base_seed,
-                    outputs: list, wall_time: float, inputs: dict | None = None) -> None:
-    """run_manifest.json; inputs are the command's flags that are not settings."""
+def _write_outputs(out_dir: str, command: str, writers: dict, t0: float, cfg_dict: dict,
+                   base_seed, inputs: dict | None = None) -> None:
+    """Create out_dir, write each file name with writers[name](path), then
+    run_manifest.json; inputs are the command's flags that are not settings.
+
+    Commands call it after all their compute, so a failed run leaves no
+    directory.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, write in writers.items():
+        write(os.path.join(out_dir, name))
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "command": command,
@@ -85,8 +94,8 @@ def _write_manifest(out_dir: str, command: str, cfg_dict: dict, base_seed,
         "config_hash": _config_hash(cfg_dict, inputs),
         "base_seed": base_seed,
         "versions": _versions(),
-        "outputs": sorted(outputs),
-        "wall_time_s": wall_time,
+        "outputs": sorted(writers),
+        "wall_time_s": time.perf_counter() - t0,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     if inputs is not None:
@@ -139,10 +148,9 @@ def _cmd_ed(args) -> int:
     }
     _print_json(payload)
     if args.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_json(os.path.join(cfg.out_dir, "ed.json"), {"schema_version": "ed.v1", **payload})
-        _write_manifest(cfg.out_dir, "ed", cfg.to_dict(), cfg.base_seed, ["ed.json"],
-                        time.perf_counter() - t0, inputs={"tol": args.tol})
+        writers = {"ed.json": partial(_write_json, obj={"schema_version": "ed.v1", **payload})}
+        _write_outputs(cfg.out_dir, "ed", writers, t0, cfg.to_dict(), cfg.base_seed,
+                       inputs={"tol": args.tol})
     return 0
 
 
@@ -154,11 +162,10 @@ def _cmd_scan(args) -> int:
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     trial, _ = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # perfbench/tracing.py reads the path as write_scan_csv's second argument
+    writers = {"local_energy_scan.csv": partial(write_scan_csv, scan)}
+    _write_outputs(cfg.out_dir, "scan", writers, t0, cfg.to_dict(), cfg.base_seed)
     path = os.path.join(cfg.out_dir, "local_energy_scan.csv")
-    write_scan_csv(scan, path)
-    _write_manifest(cfg.out_dir, "scan", cfg.to_dict(), cfg.base_seed,
-                    ["local_energy_scan.csv"], time.perf_counter() - t0)
     _print_json({"written": [path], "L": m.L, "M0": cfg.M0, "M": scan.M,
                  "replicates": cfg.replicates})
     return 0
@@ -174,50 +181,41 @@ def _cmd_gfmc(args) -> int:
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = reference_energy(m, gs)
     base = _gfmc_config(cfg)
-    rew, avg = [], []
+    # built per run: perfbench/tracing.py replaces these names before main runs
+    estimators = {"reweighted": reweighted_energy, "average": average_local_energy}
+    per_site = {name: [] for name in estimators}
     chain_rows = []
     walkers = [(M, rep) for rep in range(cfg.replicates)]
     for record in run_walkers(m, base, trial, walkers, cfg.base_seed):
-        rew.append(reweighted_energy(record) / m.L)
-        avg.append(average_local_energy(record) / m.L)
+        for name, estimate in estimators.items():
+            per_site[name].append(estimate(record) / m.L)
         if args.dump_chain:
             chain_rows.append(record)
         # a population's last record would keep all of its arrays alive
         # while the generator runs the next population
         del record
-    rew_arr, avg_arr = np.array(rew), np.array(avg)
-
-    def _stats(a):
-        out = {"per_replicate": [float(v) for v in a], "mean": float(a.mean())}
-        if len(a) > 1:
-            out["std_error"] = float(a.std(ddof=1) / np.sqrt(len(a)))
-        return out
-
+    e0_per_site = gs_energy / m.L
     payload = {
         "L": m.L, "J": m.J, "Gamma": m.Gamma, "trial": cfg.trial_kind,
         "M": M, "lambda_shift": base.resolve_lambda_shift(m),
         "chain_length": cfg.chain_length, "warmup": cfg.warmup,
         "l_reweight": cfg.l_reweight, "replicates": cfg.replicates,
-        "E0_per_site": gs_energy / m.L,
-        "reweighted": _stats(rew_arr),
-        "average": _stats(avg_arr),
-        "error_per_site": {
-            "reweighted": float(rew_arr.mean() - gs_energy / m.L),
-            "average": float(avg_arr.mean() - gs_energy / m.L),
-        },
+        "E0_per_site": e0_per_site, "error_per_site": {},
     }
+    for name, values in per_site.items():
+        a = np.array(values)
+        stats = {"per_replicate": [float(v) for v in a], "mean": float(a.mean())}
+        if len(a) > 1:
+            stats["std_error"] = float(a.std(ddof=1) / np.sqrt(len(a)))
+        payload[name] = stats
+        payload["error_per_site"][name] = float(a.mean() - e0_per_site)
     _print_json(payload)
     if args.out_dir or args.dump_chain:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        outputs = ["gfmc_result.json"]
-        _write_json(os.path.join(cfg.out_dir, "gfmc_result.json"),
-                    {"schema_version": "gfmc_result.v1", **payload})
+        writers = {"gfmc_result.json":
+                   partial(_write_json, obj={"schema_version": "gfmc_result.v1", **payload})}
         for rep, record in enumerate(chain_rows):
-            name = f"chain_{rep}.csv"
-            _write_chain_csv(os.path.join(cfg.out_dir, name), record)
-            outputs.append(name)
-        _write_manifest(cfg.out_dir, "gfmc", cfg.to_dict(), cfg.base_seed, outputs,
-                        time.perf_counter() - t0)
+            writers[f"chain_{rep}.csv"] = partial(_write_chain_csv, record=record)
+        _write_outputs(cfg.out_dir, "gfmc", writers, t0, cfg.to_dict(), cfg.base_seed)
     return 0
 
 
@@ -241,23 +239,18 @@ def _cmd_sweep(args) -> int:
     )
     summary = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
                         band=cfg.crossing_band, crossing_method=cfg.crossing_method)
-    # a sweep that fails leaves no output directory
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    outputs = []
-    if "csv" in cfg.formats:
-        write_sweep_csv(points, os.path.join(cfg.out_dir, "sweep_points.csv"))
-        outputs.append("sweep_points.csv")
     cfg_dict = cfg.to_dict()
     summary["provenance"] = {
         "base_seed": cfg.base_seed,
         "config_hash": _config_hash(cfg_dict),
         "tool_version": __version__,
     }
+    writers = {}
+    if "csv" in cfg.formats:
+        writers["sweep_points.csv"] = partial(write_sweep_csv, points)
     if "json" in cfg.formats:
-        _write_json(os.path.join(cfg.out_dir, "scaling_summary.json"), summary)
-        outputs.append("scaling_summary.json")
-    _write_manifest(cfg.out_dir, "sweep", cfg_dict, cfg.base_seed, outputs,
-                    time.perf_counter() - t0)
+        writers["scaling_summary.json"] = partial(_write_json, obj=summary)
+    _write_outputs(cfg.out_dir, "sweep", writers, t0, cfg_dict, cfg.base_seed)
     _print_json(summary)
     return 0
 
@@ -284,13 +277,12 @@ def _cmd_extrapolate(args) -> int:
     _print_json(payload)
     if args.out_dir:
         cfg = _load_config(args)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_json(os.path.join(cfg.out_dir, "extrapolate.json"),
-                    {"schema_version": "extrapolate.v1", **payload})
+        writers = {"extrapolate.json":
+                   partial(_write_json, obj={"schema_version": "extrapolate.v1", **payload})}
         # extrapolate reads no setting besides the output location
-        _write_manifest(cfg.out_dir, "extrapolate", {"output": cfg.to_dict()["output"]},
-                        None, ["extrapolate.json"], time.perf_counter() - t0,
-                        inputs={**inputs, "reference_shots": args.reference_shots})
+        _write_outputs(cfg.out_dir, "extrapolate", writers, t0,
+                       {"output": cfg.to_dict()["output"]}, None,
+                       inputs={**inputs, "reference_shots": args.reference_shots})
     return 0
 
 

@@ -39,7 +39,7 @@ from .gfmc import (
 )
 from .model import TfiModel, check_table_size
 from .seeding import derive_seed
-from .shots import noisy_amplitudes, sample_counts
+from .shots import noisy_amplitudes, sample_counts, write_csv_rows
 from .trial import JastrowParams, build_table, check_ground_state_gamma
 
 SECONDS_PER_YEAR = 3.156e7
@@ -158,8 +158,8 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     (base_seed, L, M, rep) and a record not on its task or population,
     so neither the schedule nor threads can change any number. A failed
     task aborts the sweep with its (L, M, rep) range attached. Arguments
-    (empty grids included), every size and its shift are checked, and the
-    exact trial at Gamma = 0 rejected, before any solve.
+    (empty grids and budgets below 1 included), every size and its shift
+    are checked, and the exact trial at Gamma = 0 rejected, before any solve.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -169,6 +169,8 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         raise ValueError("need at least 2 replicates for a standard error")
     if len(L_grid) == 0 or (m_grid is not None and len(m_grid) == 0):
         raise ValueError("L_grid and m_grid must each give at least one value")
+    if m_grid is not None and min(m_grid) < 1:
+        raise ValueError(f"every shot budget M must be >= 1, got m_grid = {list(m_grid)}")
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
@@ -322,8 +324,10 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
     crossing_method "local" uses fit_crossing per target;
     "prefactor" derives every crossing from the single windowed
     M^(-1/2) prefactor via crossing_M. Fit failures are recorded per
-    (L, target) instead of aborting.
+    (L, target) instead of aborting. An empty points list is rejected.
     """
+    if not points:
+        raise ValueError("summarize needs at least one sweep point")
     if crossing_method not in CROSSING_METHODS:
         raise ValueError("crossing_method must be 'local' or 'prefactor'")
     by_L: dict[int, list[SweepPoint]] = {}
@@ -375,8 +379,8 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
 
     return {
         "schema_version": SUMMARY_SCHEMA,
-        "trial_kind": points[0].trial_kind if points else "jastrow",
-        "estimator": points[0].estimator if points else "reweighted",
+        "trial_kind": points[0].trial_kind,
+        "estimator": points[0].estimator,
         "targets": list(targets),
         "window": list(window),
         "crossing_method": crossing_method,
@@ -428,13 +432,12 @@ def runtime_for_shots(shots: float, circuit_layers: int,
 # serialization
 
 def write_sweep_csv(points: list[SweepPoint], path) -> None:
-    """One row per replicate, sorted by (L, M, rep)."""
-    with open(path, "w", newline="") as f:
-        f.write(f"# schema={SWEEP_SCHEMA}\n")
-        f.write("L,M,trial_kind,rep,energy_per_site,E0_per_site,signed_error\n")
+    """One row per replicate, sorted by (L, M, rep); floats as their repr."""
+    with open(path, "wb") as f:
+        f.write(f"# schema={SWEEP_SCHEMA}\n".encode())
+        f.write(b"L,M,trial_kind,rep,energy_per_site,E0_per_site,signed_error\n")
         for p in sorted(points, key=lambda q: (q.L, q.M)):
-            for rep, est in enumerate(p.replicate_estimates):
-                f.write(
-                    f"{p.L},{p.M},{p.trial_kind},{rep},{float(est)!r},"
-                    f"{float(p.e0_per_site)!r},{float(est - p.e0_per_site)!r}\n"
-                )
+            est = p.replicate_estimates
+            write_csv_rows(f, [f"{p.L},{p.M},{p.trial_kind},".encode(), np.arange(len(est)),
+                               b",", est, b",", np.full(len(est), p.e0_per_site), b",",
+                               est - p.e0_per_site, b"\n"])

@@ -63,7 +63,7 @@ def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> ShotCounts
 
 def noisy_amplitudes(c: ShotCounts) -> AmplitudeTable:
     """sqrt(counts/M): zero counts give amplitude exactly zero."""
-    return AmplitudeTable(c.L, np.sqrt(c.counts / c.M), "noisy")
+    return AmplitudeTable(c.L, np.sqrt(c.counts / c.M))
 
 
 @dataclass

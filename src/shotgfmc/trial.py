@@ -11,8 +11,6 @@ import numpy as np
 
 from .model import TfiModel, bond_correlations, check_table_size
 
-TABLE_KINDS = ("uniform", "jastrow", "exact-groundstate", "noisy")
-
 NORM_TOL = 1e-12
 
 # largest |log amplitude| spread that survives exponentiation after the
@@ -36,11 +34,8 @@ class JastrowParams:
 class AmplitudeTable:
     L: int
     amps: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in TABLE_KINDS:
-            raise ValueError(f"unknown table kind {self.kind!r}")
         self.amps = np.asarray(self.amps, dtype=np.float64)
         if self.amps.shape != (1 << self.L,):
             raise ValueError(f"table for L={self.L} must have {1 << self.L} entries")
@@ -68,7 +63,7 @@ def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
 def uniform_table(m: TfiModel) -> AmplitudeTable:
     check_table_size(m)
     amps = np.full(m.n_states, 1.0 / np.sqrt(m.n_states))
-    return AmplitudeTable(m.L, amps, "uniform")
+    return AmplitudeTable(m.L, amps)
 
 
 def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable:
@@ -83,7 +78,7 @@ def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable
         )
     amps = np.exp(logs - logs.max())
     amps /= np.linalg.norm(amps)
-    return AmplitudeTable(m.L, amps, "jastrow")
+    return AmplitudeTable(m.L, amps)
 
 
 def check_ground_state_gamma(Gamma: float) -> None:
@@ -112,7 +107,7 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
             f"vector has {int(negative.sum())} negative entries, the most negative "
             f"{float(v.min()):.3g}: roundoff on amplitudes below the solver's accuracy; "
             "use a larger model.Gamma")
-    return AmplitudeTable(m.L, v, "exact-groundstate")
+    return AmplitudeTable(m.L, v)
 
 
 def build_table(kind: str, m: TfiModel, params: JastrowParams | None = None,

@@ -241,3 +241,14 @@ def write_chain_csv_rows(record, path) -> None:
         for n in range(len(record)):
             f.write(f"{n},{record.states[n]},{float(record.b_values[n])!r},"
                     f"{float(record.e_values[n])!r}\n")
+
+
+def write_sweep_csv_rows(points, path) -> None:
+    """sweep_points.v1 written one row at a time from numpy scalars."""
+    with open(path, "w", newline="") as f:
+        f.write("# schema=sweep_points.v1\n")
+        f.write("L,M,trial_kind,rep,energy_per_site,E0_per_site,signed_error\n")
+        for p in sorted(points, key=lambda q: (q.L, q.M)):
+            for rep, est in enumerate(p.replicate_estimates):
+                f.write(f"{p.L},{p.M},{p.trial_kind},{rep},{float(est)!r},"
+                        f"{float(p.e0_per_site)!r},{float(est - p.e0_per_site)!r}\n")

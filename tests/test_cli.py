@@ -695,6 +695,38 @@ def test_cli_sweep_ignores_what_the_output_directory_holds(tmp_path, capsys, sta
     assert (used / "e0_cache.json").read_text() == stale
 
 
+# every command at a tiny size, and whether it writes without --out-dir
+WRITERS = {
+    "ed": (["ed", "--L", "4"], False),
+    "scan": (["scan", "--L", "4", "--M0", "1", "--reps", "2"], True),
+    "gfmc": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
+              "--replicates", "2"], False),
+    "gfmc-dump-chain": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
+                         "--replicates", "2", "--dump-chain"], True),
+    "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
+               "--chain-length", "2000", "--threads", "1"], True),
+    "extrapolate": (["extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40"], False),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITERS))
+def test_cli_output_directory_holds_the_manifest_and_its_outputs(tmp_path, capsys,
+                                                                 monkeypatch, case):
+    argv, writes_by_default = WRITERS[case]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, argv)
+    assert code == 0, err
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if writes_by_default else [])
+    code, _, err = _run(capsys, [*argv, "--out-dir", str(tmp_path / "given")])
+    assert code == 0, err
+    for out_dir in [tmp_path / "given", *([tmp_path / "out"] if writes_by_default else [])]:
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["outputs"] == sorted(manifest["outputs"])
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["run_manifest.json", *manifest["outputs"]])
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -250,5 +250,5 @@ def test_variational_principle():
     for _ in range(10):
         amps = rng.random(64) + 1e-3
         amps /= np.linalg.norm(amps)
-        t = AmplitudeTable(6, amps, "uniform")
+        t = AmplitudeTable(6, amps)
         assert variational_energy(t, m) > e0

@@ -105,7 +105,7 @@ def test_local_energy_table_bit_identical_to_gather_oracle(L, J, Gamma):
     rng = np.random.default_rng(200 + L)
     counts = rng.integers(0, 3, size=1 << L)
     counts[0], counts[-1] = 1, 0
-    t = AmplitudeTable(L, np.sqrt(counts / counts.sum()), "noisy")
+    t = AmplitudeTable(L, np.sqrt(counts / counts.sum()))
     e, defined = local_energy_table(t, m)
     e_ref, defined_ref = local_energy_table_gather(t.amps, L, J, Gamma)
     assert (~defined).any()
@@ -454,7 +454,7 @@ def test_draw_initial_state_top_ulp_stays_on_support():
         amps = rng.random(m.n_states)
         amps[-3:] = 0.0
         amps /= np.linalg.norm(amps)
-        t = AmplitudeTable(m.L, amps, "jastrow")
+        t = AmplitudeTable(m.L, amps)
         if t.probabilities.sum() > np.cumsum(t.probabilities)[-1]:
             break
     else:

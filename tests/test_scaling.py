@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from shotgfmc import gfmc, scaling
+from shotgfmc import gfmc, scaling, shots
 from shotgfmc.gfmc import GfmcConfig
 from shotgfmc.model import MAX_TABLE_L, TfiModel
 from shotgfmc.scaling import (
@@ -26,6 +26,8 @@ from shotgfmc.scaling import (
     write_sweep_csv,
 )
 from shotgfmc.exact import ground_state
+
+from oracles import write_sweep_csv_rows
 
 
 def _make_points(Ms, errors, L=10, spread=1e-3, e0=-1.2):
@@ -325,6 +327,11 @@ def test_summarize_prefactor_method_uses_crossing_identity():
     )
 
 
+def test_summarize_rejects_no_points():
+    with pytest.raises(ValueError, match="at least one sweep point"):
+        summarize([])
+
+
 def test_summarize_records_fit_failures():
     points = _make_points([100, 200, 400], [0.5, 0.4, 0.3], L=8)
     res = summarize(points, targets=(1e-6,))
@@ -360,6 +367,20 @@ def test_write_sweep_csv_roundtrip(tmp_path):
         assert float(row[6]) == est - e0
 
 
+def test_write_sweep_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, row_chunks):
+    # 7-row chunks split each point's replicates; the values cover tiny,
+    # negative, integral and equal-to-E0 estimates
+    monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", 7)
+    ests = np.array([-1.25, 0.1 + 0.2, 1e-300, -3.0, 2.5e7, -1.2, 1 / 3, -0.0, 5e-324])
+    points = [SweepPoint(10, 123456789, "jastrow", "reweighted", ests / 7, -1.2),
+              SweepPoint(8, 60, "exact-groundstate", "average", ests, -1.2),
+              SweepPoint(8, 7, "exact-groundstate", "average", -ests, -0.4)]
+    write_sweep_csv(points, tmp_path / "fast.csv")
+    assert len(row_chunks) == 3 * 2
+    write_sweep_csv_rows(points, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_reference_energy_cache():
     m = TfiModel(4)
     assert reference_energy(m) == pytest.approx(ground_state(m).energy, abs=1e-10)
@@ -389,13 +410,15 @@ def solves(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("L_grid, Gamma, message", [
-    ([8, MAX_TABLE_L + 1], 1.0, f"full-basis table needs L <= {MAX_TABLE_L}"),
-    ([8], 0.0, "auto shift needs Gamma > 0"),
-], ids=["oversized-L", "auto-shift-at-Gamma-0"])
-def test_run_sweep_rejects_a_bad_size_before_any_solve(solves, L_grid, Gamma, message):
+@pytest.mark.parametrize("m_grid, L_grid, Gamma, message", [
+    ([100], [8, MAX_TABLE_L + 1], 1.0, f"full-basis table needs L <= {MAX_TABLE_L}"),
+    ([100], [8], 0.0, "auto shift needs Gamma > 0"),
+    ([0], [8], 1.0, "every shot budget M must be >= 1"),
+    ([100, -5], [8], 1.0, "every shot budget M must be >= 1"),
+], ids=["oversized-L", "auto-shift-at-Gamma-0", "zero-budget", "negative-budget"])
+def test_run_sweep_rejects_a_bad_size_before_any_solve(solves, m_grid, L_grid, Gamma, message):
     with pytest.raises(ValueError, match=message):
-        run_sweep([100], L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
+        run_sweep(m_grid, L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
                   Gamma=Gamma, threads=1)
     assert solves == []
 

@@ -73,7 +73,6 @@ def test_noisy_amplitudes_examples():
     t = noisy_amplitudes(ShotCounts(3, 100, counts))
     assert t.amps[5] == 1.0
     assert np.all(t.amps[np.arange(8) != 5] == 0.0)
-    assert t.kind == "noisy"
 
 
 def test_noisy_amplitudes_sqrt_and_normalization():

@@ -137,10 +137,10 @@ def test_overflow_guard():
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([1.0, 0.0, 0.0, 0.0]), "no-such-kind")
+        AmplitudeTable(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([0.5, 0.5, 0.5, 0.5]) * 2.0, "uniform")
+        AmplitudeTable(2, np.array([0.5, 0.5, 0.5, 0.5]) * 2.0)
     with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([-0.5, 0.5, 0.5, 0.5]), "uniform")
+        AmplitudeTable(2, np.array([-0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         build_table("exact-groundstate", TfiModel(2))
