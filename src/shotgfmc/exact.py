@@ -22,10 +22,12 @@ sector, H is a diagonal plus L gathers, one per flipped bit,
 (H v)_a = E(rep_a) v_a - sum_k Gamma sqrt(N_a / N_b) v_b with
 b = orbit(rep_a ^ 1<<k). The embedding is an isometry, so the sector
 residual is the full-space residual; the vector returned is
-(y / sqrt(N))[orbit]. The Krylov basis lives in the rows of one
-preallocated array (BASIS_CAPACITY rows, doubled when full), so
-reorthogonalization and the Ritz vector work on a view of the first rows
-and never copy the basis.
+(y / sqrt(N))[orbit]. ``lanczos`` runs the iteration on any symmetric
+action; its Krylov basis lives in the rows of one preallocated array
+(BASIS_CAPACITY rows, doubled when full), so reorthogonalization and the
+Ritz vector work on a view of the first rows and never copy the basis.
+The basis and the sector action are freed before the 2^L embedding is
+built.
 
 ``apply_hamiltonian`` is the full-space action on any vector, the
 diagonal times v minus Gamma times ``model.neighbour_sum(v, L)``: the
@@ -125,22 +127,22 @@ class _SectorAction:
         return out
 
 
-def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> GroundStateResult:
-    """Lowest eigenpair of H, converged to residual norm <= tol."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    check_table_size(m)
-    orbit, reps, sizes = symmetry_orbits(m.L)
-    H = _SectorAction(m, orbit, reps, sizes)
-    n = len(reps)
+def lanczos(action, start: np.ndarray, tol: float, max_iter: int):
+    """Lowest Ritz pair of the symmetric operator action, from the unit vector start.
+
+    Returns (theta, y, residual, iterations): y is the unit Ritz vector,
+    sign-fixed to a nonnegative sum, and residual = |action(y) - theta y|
+    <= tol. The Krylov basis, which holds one row per iteration, is freed
+    when this returns.
+    """
+    n = len(start)
     # Krylov basis: row j is the j-th Lanczos vector
     V = np.empty((BASIS_CAPACITY, n))
-    # the uniform vector 2^(-L/2) on every state, in sector coordinates
-    V[0] = np.sqrt(sizes / m.n_states)
+    V[0] = start
     v = V[0]
     alphas: list[float] = []
     betas: list[float] = []
-    w = H(v)
+    w = action(v)
     for it in range(1, max_iter + 1):
         a = float(v @ w)
         alphas.append(a)
@@ -165,10 +167,9 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
             y /= np.linalg.norm(y)
             if y.sum() < 0:
                 y = -y
-            residual = float(np.linalg.norm(H(y) - theta * y))
+            residual = float(np.linalg.norm(action(y) - theta * y))
             if residual <= tol:
-                vector = (y / np.sqrt(sizes))[orbit]
-                return GroundStateResult(theta, vector, residual, it)
+                return theta, y, residual, it
             # Ritz bound was optimistic; keep iterating unless exhausted
             if beta < 1e-14:
                 raise RuntimeError(
@@ -181,10 +182,24 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
             grown[:it] = V
             V = grown
         v = np.divide(w, beta, out=V[it])
-        w = H(v)
+        w = action(v)
     raise RuntimeError(
         f"ground state did not converge to residual {tol:.3e} within {max_iter} iterations"
     )
+
+
+def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> GroundStateResult:
+    """Lowest eigenpair of H, converged to residual norm <= tol."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_table_size(m)
+    orbit, reps, sizes = symmetry_orbits(m.L)
+    # the uniform vector 2^(-L/2) on every state, in sector coordinates;
+    # the sector action and the Krylov basis die with the lanczos call,
+    # before the 2^L embedding is built
+    energy, y, residual, iterations = lanczos(_SectorAction(m, orbit, reps, sizes),
+                                              np.sqrt(sizes / m.n_states), tol, max_iter)
+    return GroundStateResult(energy, (y / np.sqrt(sizes))[orbit], residual, iterations)
 
 
 def variational_energy(t: AmplitudeTable, m: TfiModel) -> float:

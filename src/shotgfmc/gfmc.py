@@ -126,8 +126,8 @@ def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.n
     return e, defined
 
 
-def _draw_initial_state(t: AmplitudeTable, rng: np.random.Generator) -> int:
-    p = t.probabilities
+def _draw_initial_state(amps: np.ndarray, rng: np.random.Generator) -> int:
+    p = amps * amps
     total = p.sum()
     if total <= 0.0:
         raise RuntimeError("amplitude table has no support")
@@ -269,36 +269,39 @@ def sliding_window_sums(values, width, recompute_every, out):
         out[j0:j1] = np.cumsum(terms)[::2]
 
 
-def run_chain(cfg: GfmcConfig, tables, m: TfiModel, rngs) -> list[ChainRecord]:
-    """Generate a population of chains, one per table.
+def run_chain(cfg: GfmcConfig, amps, m: TfiModel, rngs) -> list[ChainRecord]:
+    """Generate a population of chains, one per amplitude table.
 
-    tables and rngs are matching sequences: walker w runs on tables[w]
-    and draws from rngs[w]. Every walker draws its initial state from
-    amps^2 (restricted to the support by construction) and then
-    chain_length uniforms from its own generator; its record covers steps
-    warmup .. chain_length-1. A walker's record is a function of (config,
-    table, model, generator state) alone, bit for bit, whatever
-    population it runs in. Each record's arrays are C-contiguous rows of
-    the population's (walkers, steps) arrays.
+    amps is the population's (W, 2^L) array, row w walker w's table
+    (nonnegative and normalized, as an AmplitudeTable holds it), and
+    walker w draws from rngs[w]. chain_fill walks amps itself, so the
+    population holds its W tables once, plus its uniforms and its
+    records. Every walker draws its initial state from its row squared
+    (restricted to the support by construction) and then chain_length
+    uniforms from its own generator; its record covers steps warmup ..
+    chain_length-1. A walker's record is a function of (config, table,
+    model, generator state) alone, bit for bit, whatever population it
+    runs in. Each record's arrays are C-contiguous rows of the
+    population's (walkers, steps) arrays.
     """
-    tables, rngs = list(tables), list(rngs)
-    if not tables or len(tables) != len(rngs):
+    amps, rngs = np.asarray(amps), list(rngs)
+    if not len(amps) or len(amps) != len(rngs):
         raise ValueError("a population needs one generator per table")
-    if any(table.L != m.L for table in tables):
+    if amps.shape[1:] != (m.n_states,):
         raise ValueError("table and model sizes disagree")
     lam = cfg.resolve_lambda_shift(m)
-    x = np.array([_draw_initial_state(table, r) for table, r in zip(tables, rngs)],
+    x = np.array([_draw_initial_state(row, r) for row, r in zip(amps, rngs)],
                  dtype=np.int64)
     n_rec = cfg.chain_length - cfg.warmup
     # one contiguous row per walker
-    states = np.empty((len(tables), n_rec), dtype=np.int64)
-    bvals = np.empty((len(tables), n_rec))
-    chain_fill(np.stack([table.amps for table in tables]),
-               lam - all_diagonal_energies(m), m.Gamma, cfg.warmup, x, rngs,
+    states = np.empty((len(amps), n_rec), dtype=np.int64)
+    bvals = np.empty((len(amps), n_rec))
+    # the stay vector is built after the draws, so it is not alive while they sample
+    chain_fill(amps, lam - all_diagonal_energies(m), m.Gamma, cfg.warmup, x, rngs,
                states, bvals)
     evals = lam - bvals
     return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam)
-            for w in range(len(tables))]
+            for w in range(len(amps))]
 
 
 def reweighted_energy(r: ChainRecord) -> float:

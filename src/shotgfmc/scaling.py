@@ -103,25 +103,42 @@ def build_trial(m: TfiModel, kind: str, jastrow: JastrowParams | None = None):
     return build_table(kind, m, params=jastrow), None
 
 
+def _draw_tables(trial, walkers, rngs) -> np.ndarray:
+    """A population's (W, 2^L) table array: row i is the frozen sqrt(counts/M)
+    table that rngs[i] draws from trial for walker (M, rep) = walkers[i],
+    or a copy of trial where M is None. Each table is drawn straight into
+    its row."""
+    amps = np.empty((len(walkers), len(trial.amps)))
+    # one probability vector per population, freed when the draws are done
+    p = trial.probabilities
+    for row, (M, _), rng in zip(amps, walkers, rngs):
+        if M is None:
+            row[:] = trial.amps
+        else:
+            noisy_amplitudes(sample_counts(p, M, rng), out=row)
+    return amps
+
+
 def run_walkers(m: TfiModel, cfg: GfmcConfig, trial, walkers, base_seed: int):
     """Yield one ChainRecord per walker (M, rep), in order.
 
     Walker (M, rep) owns default_rng(derive_seed(base_seed, L, M or 0,
     rep)): it draws its frozen M-shot table of trial first (M None runs
-    on trial itself), then its initial state and chain uniforms. Walkers
-    run in populations of at most max_population(cfg); a walker's record
-    does not depend on its population.
+    on a copy of trial), then its initial state and chain uniforms.
+    Walkers run in populations of at most max_population(cfg); a
+    walker's record does not depend on its population. A population
+    holds its W tables once, in the (W, 2^L) array that run_chain walks,
+    plus its uniforms and its records; the tables are freed before its
+    first record is yielded.
     """
     width = max_population(cfg)
     for first in range(0, len(walkers), width):
-        tables, rngs = [], []
-        for M, rep in walkers[first:first + width]:
-            rng = np.random.default_rng(derive_seed(base_seed, m.L, M or 0, rep))
-            # trial.probabilities is made per draw, so it is not held into run_chain
-            tables.append(trial if M is None else
-                          noisy_amplitudes(sample_counts(trial.probabilities, M, rng)))
-            rngs.append(rng)
-        yield from run_chain(cfg, tables, m, rngs)
+        batch = walkers[first:first + width]
+        rngs = [np.random.default_rng(derive_seed(base_seed, m.L, M or 0, rep))
+                for M, rep in batch]
+        # the table array is run_chain's argument only, so it dies when
+        # run_chain returns
+        yield from run_chain(cfg, _draw_tables(trial, batch, rngs), m, rngs)
 
 
 def _run_replicate(task):

@@ -61,9 +61,15 @@ def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> ShotCounts
     return ShotCounts(L, M, counts)
 
 
-def noisy_amplitudes(c: ShotCounts) -> AmplitudeTable:
-    """sqrt(counts/M): zero counts give amplitude exactly zero."""
-    return AmplitudeTable(c.L, np.sqrt(c.counts / c.M))
+def noisy_amplitudes(c: ShotCounts, out: np.ndarray | None = None) -> AmplitudeTable:
+    """sqrt(counts/M): zero counts give amplitude exactly zero.
+
+    With out (a float64 array of 2^L entries, such as a row of a
+    population's table array) the amplitudes are computed in place there
+    and the returned table holds out itself, with no 2^L temporary.
+    """
+    a = np.divide(c.counts, c.M, out=out)
+    return AmplitudeTable(c.L, np.sqrt(a, out=a))
 
 
 @dataclass
@@ -107,10 +113,8 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
     p = trial.probabilities
     for rep in range(reps):
         rng = np.random.default_rng(derive_seed(seed, m.L, M, rep))
-        table = noisy_amplitudes(sample_counts(p, M, rng))
-        e_noisy, _ = local_energy_table(table, m)
-        noisy_amp[rep] = table.amps
-        noisy_eloc[rep] = e_noisy
+        table = noisy_amplitudes(sample_counts(p, M, rng), out=noisy_amp[rep])
+        noisy_eloc[rep], _ = local_energy_table(table, m)
     return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.amps.copy(),
                            e_exact, noisy_amp, noisy_eloc)
 

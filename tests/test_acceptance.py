@@ -58,7 +58,7 @@ def build_noiseless_estimates():
         e0ps = ground_state(m).energy / L
         rngs = [np.random.default_rng(derive_seed(BASE_SEED, L, 0, rep))
                 for rep in range(16)]
-        records = run_chain(NOISELESS_CFG, [trial] * 16, m, rngs)
+        records = run_chain(NOISELESS_CFG, [trial.amps] * 16, m, rngs)
         ests = [reweighted_energy(rec) / L for rec in records]
         per_L[L] = (np.array(ests), e0ps)
     return per_L

@@ -522,10 +522,10 @@ def test_cli_gfmc_holds_no_record_while_the_next_population_runs(capsys, monkeyp
     monkeypatch.setattr(gfmc, "POPULATION_RECORD_BYTES", 1)
     earlier = []
 
-    def tracking_run_chain(cfg, tables, m, rngs):
+    def tracking_run_chain(cfg, amps, m, rngs):
         # a record keeps its whole population's arrays alive
         assert all(ref() is None for ref in earlier)
-        records = run_chain(cfg, tables, m, rngs)
+        records = run_chain(cfg, amps, m, rngs)
         earlier.extend(weakref.ref(r) for r in records)
         return records
 
@@ -579,7 +579,7 @@ def _chain_record(chain_length=6000):
     m = TfiModel(6)
     table = build_table("exact-groundstate", m, vector=ground_state(m).vector)
     cfg = GfmcConfig(chain_length=chain_length, warmup=100, l_reweight=50)
-    return run_chain(cfg, [table], m, [np.random.default_rng(5)])[0]
+    return run_chain(cfg, [table.amps], m, [np.random.default_rng(5)])[0]
 
 
 @pytest.mark.parametrize("chunk", [shots.CSV_CHUNK_ROWS, 7])
@@ -725,6 +725,32 @@ def test_cli_output_directory_holds_the_manifest_and_its_outputs(tmp_path, capsy
         assert manifest["outputs"] == sorted(manifest["outputs"])
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
             ["run_manifest.json", *manifest["outputs"]])
+
+
+@pytest.mark.parametrize("case", list(WRITERS))
+def test_cli_failed_write_prints_no_result(tmp_path, capsys, case):
+    # every command writes its files before it prints, so a write that
+    # fails leaves stdout empty
+    argv, _ = WRITERS[case]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = _run(capsys, [*argv, "--out-dir", str(blocker)])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_cli_extrapolate_reads_its_config_first(tmp_path, capsys, out_dir):
+    argv = ["extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40",
+            "--config", str(tmp_path / "nonexistent.json")]
+    if out_dir:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "cannot read config" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_subcommand(capsys):

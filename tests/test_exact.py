@@ -138,6 +138,32 @@ def test_ground_state_default_iteration_counts(L, iterations):
     assert ground_state(TfiModel(L)).iterations == iterations
 
 
+@pytest.mark.parametrize("L, J, Gamma", [(2, 1.0, 1.0), (7, 1.3, 0.7), (12, 0.6, 1.7),
+                                         (14, 1.0, 0.0)])
+def test_lanczos_on_the_sector_action_reproduces_ground_state(L, J, Gamma):
+    m = TfiModel(L, J, Gamma)
+    orbit, reps, sizes = exact.symmetry_orbits(L)
+    theta, y, residual, iterations = exact.lanczos(
+        exact._SectorAction(m, orbit, reps, sizes), np.sqrt(sizes / m.n_states), 1e-10, 500)
+    gs = ground_state(m)
+    assert (theta, residual, iterations) == (gs.energy, gs.residual, gs.iterations)
+    assert (y / np.sqrt(sizes))[orbit].tobytes() == gs.vector.tobytes()
+
+
+def test_lanczos_finds_the_lowest_eigenpair_of_any_symmetric_action():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((40, 40))
+    a += a.T
+    evals, evecs = np.linalg.eigh(a)
+    start = np.full(40, 40 ** -0.5)
+    theta, y, residual, iterations = exact.lanczos(lambda v: a @ v, start, 1e-9, 40)
+    assert theta == pytest.approx(evals[0], abs=1e-9)
+    assert residual <= 1e-9 and iterations <= 40
+    assert np.linalg.norm(a @ y - theta * y) == residual
+    assert abs(float(evecs[:, 0] @ y)) == pytest.approx(1.0, abs=1e-9)
+    assert y.sum() >= 0
+
+
 def test_ground_state_gamma_zero_energy():
     # classical limit: doubly degenerate ferromagnet, energy -J*L
     gs = ground_state(TfiModel(6, J=1.0, Gamma=0.0))

@@ -39,7 +39,7 @@ def _noisy_table(L, M, seed):
 
 
 def _one_chain(cfg, t, m, seed):
-    return run_chain(cfg, [t], m, [np.random.default_rng(seed)])[0]
+    return run_chain(cfg, [t.amps], m, [np.random.default_rng(seed)])[0]
 
 
 def _oracle_propagator(t, m, lam):
@@ -175,7 +175,7 @@ def test_transition_stay_probability_uniform_l4():
     m = TfiModel(4)
     cfg = GfmcConfig(lambda_shift=8.0, chain_length=5000, warmup=0, l_reweight=10)
     t = build_table("uniform", m)
-    recs = run_chain(cfg, [t] * 32, m, [np.random.default_rng(w) for w in range(32)])
+    recs = run_chain(cfg, [t.amps] * 32, m, [np.random.default_rng(w) for w in range(32)])
     counts = _transition_counts(np.stack([r.states for r in recs]), m.n_states)
     diag = all_diagonal_energies(m)
     p = (8.0 - diag) / (12.0 - diag)
@@ -265,7 +265,7 @@ def _population_tables():
 
 def _scalar_chain(cfg, t, m, rng):
     lam = cfg.resolve_lambda_shift(m)
-    x0 = _draw_initial_state(t, rng)
+    x0 = _draw_initial_state(t.amps, rng)
     urand = rng.random(cfg.chain_length)
     states = np.empty(cfg.chain_length - cfg.warmup, dtype=np.int64)
     bvals = np.empty(cfg.chain_length - cfg.warmup)
@@ -280,7 +280,7 @@ def test_population_matches_scalar_reference():
     cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=40)
     for m, tables in _population_tables():
         seeds = [50 + w for w in range(len(tables))]
-        records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in seeds])
+        records = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in seeds])
         assert len(records) == len(tables)
         for t, seed, rec in zip(tables, seeds, records):
             states, bvals = _scalar_chain(cfg, t, m, np.random.default_rng(seed))
@@ -295,7 +295,7 @@ def test_population_width_does_not_change_records():
     m = TfiModel(5)
     tables = [_noisy_table(5, M, 7) for M in (20, 200, 2000)]
     cfg = GfmcConfig(chain_length=1500, warmup=10, l_reweight=20)
-    together = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in (1, 2, 3)])
+    together = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in (1, 2, 3)])
     for t, seed, rec in zip(tables, (1, 2, 3), together):
         alone = _one_chain(cfg, t, m, seed)
         assert alone.states.tobytes() == rec.states.tobytes()
@@ -319,7 +319,7 @@ def test_cdf_top_fallback_matches_scalar():
     # (any u < 1 rounds t below b); stay where no flip weight is positive
     cfg = GfmcConfig(chain_length=300, warmup=0, l_reweight=10)
     for m, tables in _population_tables():
-        records = run_chain(cfg, tables, m, [_ConstUniforms(1.0) for _ in tables])
+        records = run_chain(cfg, [t.amps for t in tables], m, [_ConstUniforms(1.0) for _ in tables])
         for t, rec in zip(tables, records):
             states, bvals = _scalar_chain(cfg, t, m, _ConstUniforms(1.0))
             assert rec.states.tobytes() == states.tobytes()
@@ -390,7 +390,7 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
     tables = [tables[0], tables[1], tables[3], tables[-1]]
     scripts = [_script(chain_length, 60 + w, runs) for w in range(len(tables))]
     rngs = [_ScriptedUniforms(u) for u in scripts]
-    records = run_chain(cfg, tables, m, rngs)
+    records = run_chain(cfg, [t.amps for t in tables], m, rngs)
     for t, u, rng, rec in zip(tables, scripts, rngs, records):
         states, bvals = _scalar_chain(cfg, t, m, _ScriptedUniforms(u))
         assert rec.states.tobytes() == states.tobytes()
@@ -409,12 +409,28 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
     assert np.all(records[-1].states == (1 << m.L) - 2)
 
 
+def test_run_chain_on_a_population_array_matches_a_list_of_rows():
+    cfg = GfmcConfig(chain_length=1500, warmup=20, l_reweight=10)
+    for m, tables in _population_tables():
+        rows = [t.amps for t in tables]
+        amps = np.stack(rows)
+        seeds = range(90, 90 + len(rows))
+        from_rows = run_chain(cfg, rows, m, [np.random.default_rng(s) for s in seeds])
+        from_array = run_chain(cfg, amps, m, [np.random.default_rng(s) for s in seeds])
+        for a, b in zip(from_rows, from_array, strict=True):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.b_values.tobytes() == b.b_values.tobytes()
+            assert a.e_values.tobytes() == b.e_values.tobytes()
+        # the walk reads the tables and leaves them as they were
+        assert amps.tobytes() == np.stack(rows).tobytes()
+
+
 def test_run_chain_leaves_each_generator_as_one_long_draw_would():
     m, tables = _population_tables()[1]
     cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=10)
     seeds = range(70, 70 + len(tables))
     rngs = [np.random.default_rng(s) for s in seeds]
-    run_chain(cfg, tables, m, rngs)
+    run_chain(cfg, [t.amps for t in tables], m, rngs)
     for seed, rng in zip(seeds, rngs):
         fresh = np.random.default_rng(seed)
         fresh.random()
@@ -425,7 +441,7 @@ def test_run_chain_leaves_each_generator_as_one_long_draw_would():
 def test_chain_records_are_contiguous_rows():
     m, tables = _population_tables()[1]
     cfg = GfmcConfig(chain_length=1200, warmup=25, l_reweight=10)
-    records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in range(len(tables))])
+    records = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in range(len(tables))])
     for rec in records:
         for values in (rec.states, rec.b_values, rec.e_values):
             assert values.ndim == 1 and len(values) == cfg.chain_length - cfg.warmup
@@ -438,11 +454,11 @@ def test_run_chain_population_validation():
     t = build_table("jastrow", m)
     cfg = GfmcConfig(chain_length=500, warmup=10, l_reweight=20)
     with pytest.raises(ValueError):
-        run_chain(cfg, [t, t], m, [np.random.default_rng(0)])
+        run_chain(cfg, [t.amps, t.amps], m, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         run_chain(cfg, [], m, [])
     with pytest.raises(ValueError):
-        run_chain(cfg, [build_table("jastrow", TfiModel(5))], m, [np.random.default_rng(0)])
+        run_chain(cfg, [build_table("jastrow", TfiModel(5)).amps], m, [np.random.default_rng(0)])
 
 
 def test_draw_initial_state_top_ulp_stays_on_support():
@@ -460,7 +476,7 @@ def test_draw_initial_state_top_ulp_stays_on_support():
     else:
         pytest.fail("no table with p.sum() > cumsum[-1] found")
     top = _ConstUniforms(np.nextafter(1.0, 0.0))
-    assert _draw_initial_state(t, top) == m.n_states - 4
+    assert _draw_initial_state(t.amps, top) == m.n_states - 4
 
 
 def test_sliding_window_sums_match_scalar_loop():
@@ -532,7 +548,7 @@ def test_noiseless_gfmc_converges_to_e0():
     cfg = GfmcConfig(chain_length=30_000, warmup=500, l_reweight=100)
     rngs = [np.random.default_rng(100 + rep) for rep in range(8)]
     ests = np.array([reweighted_energy(rec) / 6
-                     for rec in run_chain(cfg, [t] * 8, m, rngs)])
+                     for rec in run_chain(cfg, [t.amps] * 8, m, rngs)])
     se = ests.std(ddof=1) / np.sqrt(len(ests))
     assert abs(ests.mean() - e0) <= 4 * se
 
@@ -543,7 +559,7 @@ def _stationary_run(L):
     m = TfiModel(L)
     t = build_table("jastrow", m)
     cfg = GfmcConfig(chain_length=15_625 + 1000, warmup=1000, l_reweight=100)
-    recs = run_chain(cfg, [t] * 64, m, [np.random.default_rng(31 + w) for w in range(64)])
+    recs = run_chain(cfg, [t.amps] * 64, m, [np.random.default_rng(31 + w) for w in range(64)])
     return m, t, recs[0].lambda_shift, np.stack([r.states for r in recs])
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -224,6 +225,29 @@ def test_run_walkers_records_do_not_depend_on_the_population_cap(monkeypatch):
     assert not np.array_equal(default[1].b_values, default[2].b_values)
 
 
+def test_run_walkers_holds_each_table_once():
+    # one population of W walkers holds its W tables, its records and its
+    # uniforms, and no more than a few more tables of scratch; a second
+    # copy of the population's tables would need W more
+    m = TfiModel(14)
+    cfg = GfmcConfig(chain_length=2000, warmup=100, l_reweight=50)
+    trial, _ = build_trial(m, "jastrow")
+    W = 16
+    assert gfmc.max_population(cfg) >= W
+    walkers = [(None, 0)] + [(10 * m.n_states, rep) for rep in range(W - 1)]
+    table = 8 * m.n_states
+    records = 3 * 8 * W * (cfg.chain_length - cfg.warmup)
+    uniforms = 8 * W * (cfg.chain_length + gfmc._RUN_WINDOW)
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in run_walkers(m, cfg, trial, walkers, 11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == W
+    assert peak < (W + 8) * table + records + uniforms
+
+
 def test_run_sweep_with_one_walker_populations_matches_across_threads(monkeypatch):
     default = _tiny_sweep(threads=1)
     _one_walker_populations(monkeypatch)
@@ -239,10 +263,10 @@ def test_run_replicate_holds_no_record_while_the_next_population_runs(monkeypatc
     _one_walker_populations(monkeypatch)
     earlier = []
 
-    def tracking_run_chain(cfg, tables, m, rngs):
+    def tracking_run_chain(cfg, amps, m, rngs):
         # a record keeps its whole population's arrays alive
         assert all(ref() is None for ref in earlier)
-        records = run_chain(cfg, tables, m, rngs)
+        records = run_chain(cfg, amps, m, rngs)
         earlier.extend(weakref.ref(r) for r in records)
         return records
 
@@ -258,9 +282,9 @@ def test_run_replicate_holds_no_record_while_the_next_population_runs(monkeypatc
 def test_run_sweep_runs_each_distinct_walker_once(monkeypatch):
     walkers = []
 
-    def counting_run_chain(cfg, tables, m, rngs):
-        walkers.extend([m.L] * len(tables))
-        return run_chain(cfg, tables, m, rngs)
+    def counting_run_chain(cfg, amps, m, rngs):
+        walkers.extend([m.L] * len(amps))
+        return run_chain(cfg, amps, m, rngs)
 
     run_chain = scaling.run_chain
     monkeypatch.setattr(scaling, "run_chain", counting_run_chain)

@@ -85,6 +85,20 @@ def test_noisy_amplitudes_sqrt_and_normalization():
     assert abs(float(t.amps @ t.amps) - 1.0) < 1e-12
 
 
+def test_noisy_amplitudes_into_a_row_is_the_same_table():
+    # a table drawn into a row of a population array holds that row, and
+    # its bits are those of a table made on its own
+    p = build_table("jastrow", TfiModel(6)).probabilities
+    rng = np.random.default_rng(8)
+    population = np.full((3, 64), np.nan)
+    for row, M in zip(population, (1, 50, 10**6)):
+        c = sample_counts(p, M, rng)
+        table = noisy_amplitudes(c, out=row)
+        assert table.amps.tobytes() == noisy_amplitudes(c).amps.tobytes()
+        assert np.shares_memory(table.amps, row)
+    assert not np.isnan(population).any()
+
+
 def test_determinism_identical_streams():
     m = TfiModel(5)
     p = build_table("jastrow", m).probabilities
