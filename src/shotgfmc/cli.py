@@ -9,6 +9,10 @@ the ``RunConfig`` field it sets); every output directory gets a
 run_manifest.json that pins config hash, seed and versions, so a run can
 be reproduced byte for byte (the manifest's own timestamp and wall time
 are the only non-deterministic fields anywhere).
+
+``main`` runs every command the same way: load the config, compute (the
+``_cmd_*`` handler), write the files, then the manifest, then print the
+result. So a failed compute writes nothing and a failed write prints nothing.
 """
 
 import argparse
@@ -76,30 +80,22 @@ def _versions() -> dict:
     }
 
 
-def _write_outputs(out_dir: str, command: str, writers: dict, t0: float, cfg_dict: dict,
-                   base_seed, inputs: dict | None = None) -> None:
+def _write_outputs(out_dir: str, writers: dict, manifest: dict, t0: float) -> None:
     """Create out_dir, write each file name with writers[name](path), then
-    run_manifest.json; inputs are the command's flags that are not settings.
-
-    Commands call it after all their compute, so a failed run leaves no
-    directory.
-    """
+    run_manifest.json: manifest plus its config hash, the versions, the file
+    names and the wall time from t0 to the end of the last file."""
     os.makedirs(out_dir, exist_ok=True)
     for name, write in writers.items():
         write(os.path.join(out_dir, name))
     manifest = {
+        **manifest,
         "schema_version": MANIFEST_SCHEMA,
-        "command": command,
-        "config": cfg_dict,
-        "config_hash": _config_hash(cfg_dict, inputs),
-        "base_seed": base_seed,
+        "config_hash": _config_hash(manifest["config"], manifest.get("inputs")),
         "versions": _versions(),
         "outputs": sorted(writers),
         "wall_time_s": time.perf_counter() - t0,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    if inputs is not None:
-        manifest["inputs"] = inputs
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
@@ -125,19 +121,14 @@ def _gfmc_config(cfg: RunConfig) -> GfmcConfig:
                       warmup=cfg.warmup, l_reweight=cfg.l_reweight)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each only computes, and returns the result main prints, the
+# writers of its files (None: no directory) and its own manifest entries
 
-def _cmd_ed(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
+def _cmd_ed(args, cfg: RunConfig):
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     gs = ground_state(m, tol=args.tol)
-    payload = {
+    result = {
         "L": m.L,
         "J": m.J,
         "Gamma": m.Gamma,
@@ -146,17 +137,11 @@ def _cmd_ed(args) -> int:
         "residual": gs.residual,
         "iterations": gs.iterations,
     }
-    if args.out_dir:
-        writers = {"ed.json": partial(_write_json, obj={"schema_version": "ed.v1", **payload})}
-        _write_outputs(cfg.out_dir, "ed", writers, t0, cfg.to_dict(), cfg.base_seed,
-                       inputs={"tol": args.tol})
-    _print_json(payload)
-    return 0
+    writers = {"ed.json": partial(_write_json, obj={"schema_version": "ed.v1", **result})}
+    return result, writers if args.out_dir else None, {"inputs": {"tol": args.tol}}
 
 
-def _cmd_scan(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
+def _cmd_scan(args, cfg: RunConfig):
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
@@ -164,19 +149,15 @@ def _cmd_scan(args) -> int:
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
     # perfbench/tracing.py reads the path as write_scan_csv's second argument
     writers = {"local_energy_scan.csv": partial(write_scan_csv, scan)}
-    _write_outputs(cfg.out_dir, "scan", writers, t0, cfg.to_dict(), cfg.base_seed)
-    path = os.path.join(cfg.out_dir, "local_energy_scan.csv")
-    _print_json({"written": [path], "L": m.L, "M0": cfg.M0, "M": scan.M,
-                 "replicates": cfg.replicates})
-    return 0
+    result = {"written": [os.path.join(cfg.out_dir, "local_energy_scan.csv")], "L": m.L,
+              "M0": cfg.M0, "M": scan.M, "replicates": cfg.replicates}
+    return result, writers, {}
 
 
-def _cmd_gfmc(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gfmc(args, cfg: RunConfig):
     if cfg.M_list is not None and len(cfg.M_list) != 1:
         raise ConfigError(f"gfmc takes a single shot budget, got noise.M = {cfg.M_list}")
     M = None if cfg.M_list is None else cfg.M_list[0]
-    t0 = time.perf_counter()
     m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = reference_energy(m, gs)
@@ -197,7 +178,7 @@ def _cmd_gfmc(args) -> int:
         # while the generator runs the next population
         del record
     e0_per_site = gs_energy / m.L
-    payload = {
+    result = {
         "L": m.L, "J": m.J, "Gamma": m.Gamma, "trial": cfg.trial_kind,
         "M": M, "lambda_shift": base.resolve_lambda_shift(m),
         "chain_length": cfg.chain_length, "warmup": cfg.warmup,
@@ -209,16 +190,13 @@ def _cmd_gfmc(args) -> int:
         stats = {"per_replicate": [float(v) for v in a], "mean": float(a.mean())}
         if len(a) > 1:
             stats["std_error"] = float(a.std(ddof=1) / np.sqrt(len(a)))
-        payload[name] = stats
-        payload["error_per_site"][name] = float(a.mean() - e0_per_site)
-    if args.out_dir or args.dump_chain:
-        writers = {"gfmc_result.json":
-                   partial(_write_json, obj={"schema_version": "gfmc_result.v1", **payload})}
-        for rep, record in enumerate(chain_rows):
-            writers[f"chain_{rep}.csv"] = partial(_write_chain_csv, record=record)
-        _write_outputs(cfg.out_dir, "gfmc", writers, t0, cfg.to_dict(), cfg.base_seed)
-    _print_json(payload)
-    return 0
+        result[name] = stats
+        result["error_per_site"][name] = float(a.mean() - e0_per_site)
+    writers = {"gfmc_result.json":
+               partial(_write_json, obj={"schema_version": "gfmc_result.v1", **result})}
+    for rep, record in enumerate(chain_rows):
+        writers[f"chain_{rep}.csv"] = partial(_write_chain_csv, record=record)
+    return result, writers if args.out_dir or args.dump_chain else None, {}
 
 
 def _write_chain_csv(path: str, record) -> None:
@@ -229,9 +207,7 @@ def _write_chain_csv(path: str, record) -> None:
                            record.b_values, b",", record.e_values, b"\n"])
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
+def _cmd_sweep(args, cfg: RunConfig):
     points = run_sweep(
         cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),
         replicates=cfg.replicates, J=cfg.J, Gamma=cfg.Gamma,
@@ -241,10 +217,9 @@ def _cmd_sweep(args) -> int:
     )
     summary = summarize(points, targets=cfg.targets, window=tuple(cfg.fit_window),
                         band=cfg.crossing_band, crossing_method=cfg.crossing_method)
-    cfg_dict = cfg.to_dict()
     summary["provenance"] = {
         "base_seed": cfg.base_seed,
-        "config_hash": _config_hash(cfg_dict),
+        "config_hash": _config_hash(cfg.to_dict()),
         "tool_version": __version__,
     }
     writers = {}
@@ -252,40 +227,33 @@ def _cmd_sweep(args) -> int:
         writers["sweep_points.csv"] = partial(write_sweep_csv, points)
     if "json" in cfg.formats:
         writers["scaling_summary.json"] = partial(_write_json, obj=summary)
-    _write_outputs(cfg.out_dir, "sweep", writers, t0, cfg_dict, cfg.base_seed)
-    _print_json(summary)
-    return 0
+    return summary, writers, {}
 
 
-def _cmd_extrapolate(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
+def _cmd_extrapolate(args, cfg: RunConfig):
     inputs = {"a": args.a, "b": args.b, "L": args.L, "circuit_layers": args.layers,
               "gate_clock_hz": args.clock_hz}
     fitted = extrapolate_runtime(args.a, args.b, args.L, args.layers, args.clock_hz)
-    payload = {
+    result = {
         **inputs,
         "fitted": {"shots": fitted.shots, "seconds": fitted.seconds,
                    "years": fitted.years},
     }
     if args.reference_shots is not None:
         ref = runtime_for_shots(args.reference_shots, args.layers, args.clock_hz)
-        payload["reference"] = {"shots": ref.shots, "seconds": ref.seconds,
-                                "years": ref.years}
-        payload["note"] = (
+        result["reference"] = {"shots": ref.shots, "seconds": ref.seconds,
+                               "years": ref.years}
+        result["note"] = (
             "fitted uses shots = a*2^(b*L); reference uses the explicitly "
             "given shot count; the two differ when the quoted budget was "
             "rounded or derived from a different target"
         )
-    if args.out_dir:
-        writers = {"extrapolate.json":
-                   partial(_write_json, obj={"schema_version": "extrapolate.v1", **payload})}
-        # extrapolate reads no setting besides the output location
-        _write_outputs(cfg.out_dir, "extrapolate", writers, t0,
-                       {"output": cfg.to_dict()["output"]}, None,
-                       inputs={**inputs, "reference_shots": args.reference_shots})
-    _print_json(payload)
-    return 0
+    writers = {"extrapolate.json":
+               partial(_write_json, obj={"schema_version": "extrapolate.v1", **result})}
+    # extrapolate reads no setting besides the output location
+    manifest = {"config": {"output": cfg.to_dict()["output"]}, "base_seed": None,
+                "inputs": {**inputs, "reference_shots": args.reference_shots}}
+    return result, writers if args.out_dir else None, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command as the module docstring says; on an error, return 1."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = _load_config(args)
+        t0 = time.perf_counter()
+        result, writers, manifest = args.handler(args, cfg)
+        if writers is not None:
+            _write_outputs(cfg.out_dir, writers, {
+                "command": args.command, "config": cfg.to_dict(),
+                "base_seed": cfg.base_seed, **manifest}, t0)
+        print(json.dumps(result, indent=2, sort_keys=True))
+        return 0
     except (ConfigError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

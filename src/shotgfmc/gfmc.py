@@ -297,7 +297,8 @@ def run_chain(cfg: GfmcConfig, amps, m: TfiModel, rngs) -> list[ChainRecord]:
     states = np.empty((len(amps), n_rec), dtype=np.int64)
     bvals = np.empty((len(amps), n_rec))
     # the stay vector is built after the draws, so it is not alive while they sample
-    chain_fill(amps, lam - all_diagonal_energies(m), m.Gamma, cfg.warmup, x, rngs,
+    stay = all_diagonal_energies(m)
+    chain_fill(amps, np.subtract(lam, stay, out=stay), m.Gamma, cfg.warmup, x, rngs,
                states, bvals)
     evals = lam - bvals
     return [ChainRecord(states[w], bvals[w], evals[w], cfg, lam)

@@ -52,15 +52,28 @@ def rotate_right(x, d: int, L: int):
 
 
 def bond_correlations(m: TfiModel, offset: int, states: np.ndarray | None = None) -> np.ndarray:
-    """sum_k s_k s_{k+offset mod L} for every basis state (or the given ones), as int64."""
-    idx = np.arange(m.n_states, dtype=np.int64) if states is None else states.astype(np.int64)
-    return m.L - 2 * np.bitwise_count(idx ^ rotate_right(idx, offset % m.L, m.L)).astype(np.int64)
+    """sum_k s_k s_{k+offset mod L} for every basis state (or the given ones), as float64.
+
+    The sum L - 2n, for n unequal pairs, is built in place from states held
+    in the smallest unsigned type that fits L bits and freed before the sums
+    are allocated, so the scratch stays within two float64 tables.
+    """
+    dtype = np.min_scalar_type(m.mask)
+    x = np.arange(m.n_states, dtype=dtype) if states is None else states.astype(dtype)
+    n = np.bitwise_count(x ^ rotate_right(x, offset % m.L, m.L))
+    del x
+    c = n.astype(np.float64)
+    c *= -2.0
+    c += m.L
+    return c
 
 
 def all_diagonal_energies(m: TfiModel, states: np.ndarray | None = None) -> np.ndarray:
     """-J * sum_k s_k s_{k+1} over the L periodic bonds, for every basis
     state (or the given ones)."""
-    return -m.J * bond_correlations(m, 1, states).astype(np.float64)
+    e = bond_correlations(m, 1, states)
+    e *= -m.J
+    return e
 
 
 def neighbour_sum(v: np.ndarray, L: int) -> np.ndarray:

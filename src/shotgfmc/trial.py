@@ -55,15 +55,7 @@ def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
 
     lambda1 * sum_k s_k s_{k+1} + lambda2 * sum_k s_k s_{k+2}, periodic.
     """
-    c1 = bond_correlations(m, 1).astype(np.float64)
-    c2 = bond_correlations(m, 2).astype(np.float64)
-    return p.lambda1 * c1 + p.lambda2 * c2
-
-
-def uniform_table(m: TfiModel) -> AmplitudeTable:
-    check_table_size(m)
-    amps = np.full(m.n_states, 1.0 / np.sqrt(m.n_states))
-    return AmplitudeTable(m.L, amps)
+    return p.lambda1 * bond_correlations(m, 1) + p.lambda2 * bond_correlations(m, 2)
 
 
 def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable:
@@ -113,8 +105,6 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
 def build_table(kind: str, m: TfiModel, params: JastrowParams | None = None,
                 vector: np.ndarray | None = None) -> AmplitudeTable:
     """Construct a normalized trial table of the requested kind."""
-    if kind == "uniform":
-        return uniform_table(m)
     if kind == "jastrow":
         return jastrow_table(m, params)
     if kind == "exact-groundstate":

@@ -695,49 +695,101 @@ def test_cli_sweep_ignores_what_the_output_directory_holds(tmp_path, capsys, sta
     assert (used / "e0_cache.json").read_text() == stale
 
 
-# every command at a tiny size, and whether it writes without --out-dir
+# every command at a tiny size: its argv, its config file (None: none), the
+# files it writes and whether it writes them without --out-dir
 WRITERS = {
-    "ed": (["ed", "--L", "4"], False),
-    "scan": (["scan", "--L", "4", "--M0", "1", "--reps", "2"], True),
+    "ed": (["ed", "--L", "4"], None, ["ed.json"], False),
+    "scan": (["scan", "--L", "4", "--M0", "1", "--reps", "2"], None,
+             ["local_energy_scan.csv"], True),
     "gfmc": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
-              "--replicates", "2"], False),
+              "--replicates", "2"], None, ["gfmc_result.json"], False),
     "gfmc-dump-chain": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
-                         "--replicates", "2", "--dump-chain"], True),
+                         "--replicates", "2", "--dump-chain"], None,
+                        ["chain_0.csv", "chain_1.csv", "gfmc_result.json"], True),
     "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
-               "--chain-length", "2000", "--threads", "1"], True),
-    "extrapolate": (["extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40"], False),
+               "--chain-length", "2000", "--threads", "1"], None,
+              ["scaling_summary.json", "sweep_points.csv"], True),
+    # no file format still writes the directory with its manifest
+    "sweep-no-formats": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
+                          "--chain-length", "2000", "--threads", "1"],
+                         {"output": {"formats": []}}, [], True),
+    "extrapolate": (["extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40"], None,
+                    ["extrapolate.json"], False),
 }
+
+# every command with an input that only its compute rejects
+FAILS = {
+    "ed": (["ed", "--L", "27"], None),
+    "scan": (["scan", "--L", "4", "--reps", "2"], None),
+    "gfmc": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
+              "--replicates", "2"], {"noise": {"M": [1, 2]}}),
+    "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "1",
+               "--chain-length", "2000", "--threads", "1"], None),
+    "extrapolate": (["extrapolate", "--a", "-1", "--b", "0.982", "--L", "40"], None),
+}
+
+
+def _with_config(tmp_path, argv, config):
+    """argv, plus --config naming config written to tmp_path."""
+    if config is None:
+        return argv
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return [*argv, "--config", str(path)]
+
+
+def _empty_run_dir(tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    return run
 
 
 @pytest.mark.parametrize("case", list(WRITERS))
 def test_cli_output_directory_holds_the_manifest_and_its_outputs(tmp_path, capsys,
                                                                  monkeypatch, case):
-    argv, writes_by_default = WRITERS[case]
-    monkeypatch.chdir(tmp_path)
+    argv, config, outputs, writes_by_default = WRITERS[case]
+    argv = _with_config(tmp_path, argv, config)
+    run = _empty_run_dir(tmp_path, monkeypatch)
     code, _, err = _run(capsys, argv)
     assert code == 0, err
-    assert [p.name for p in tmp_path.iterdir()] == (["out"] if writes_by_default else [])
+    assert [p.name for p in run.iterdir()] == (["out"] if writes_by_default else [])
     code, _, err = _run(capsys, [*argv, "--out-dir", str(tmp_path / "given")])
     assert code == 0, err
-    for out_dir in [tmp_path / "given", *([tmp_path / "out"] if writes_by_default else [])]:
+    for out_dir in [tmp_path / "given", *([run / "out"] if writes_by_default else [])]:
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["command"] == argv[0]
-        assert manifest["outputs"] == sorted(manifest["outputs"])
+        assert manifest["outputs"] == outputs
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(
-            ["run_manifest.json", *manifest["outputs"]])
+            ["run_manifest.json", *outputs])
 
 
 @pytest.mark.parametrize("case", list(WRITERS))
 def test_cli_failed_write_prints_no_result(tmp_path, capsys, case):
     # every command writes its files before it prints, so a write that
     # fails leaves stdout empty
-    argv, _ = WRITERS[case]
+    argv, config, _, _ = WRITERS[case]
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, out, err = _run(capsys, [*argv, "--out-dir", str(blocker)])
+    code, out, err = _run(capsys, [*_with_config(tmp_path, argv, config),
+                                   "--out-dir", str(blocker)])
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("case", list(FAILS))
+@pytest.mark.parametrize("out_dir", [[], ["--out-dir", "given"]], ids=["default", "given"])
+def test_cli_failed_compute_prints_nothing_and_writes_no_directory(tmp_path, capsys,
+                                                                   monkeypatch, case, out_dir):
+    argv, config = FAILS[case]
+    argv = _with_config(tmp_path, argv, config)
+    run = _empty_run_dir(tmp_path, monkeypatch)
+    code, out, err = _run(capsys, [*argv, *out_dir])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert list(run.iterdir()) == []
 
 
 @pytest.mark.parametrize("out_dir", [False, True])

@@ -4,7 +4,7 @@ import pytest
 from shotgfmc import exact
 from shotgfmc.exact import apply_hamiltonian, ground_state, variational_energy
 from shotgfmc.model import MAX_TABLE_L, TfiModel
-from shotgfmc.trial import AmplitudeTable, build_table
+from shotgfmc.trial import AmplitudeTable, JastrowParams, build_table
 
 from oracles import (
     apply_hamiltonian_gather,
@@ -266,7 +266,8 @@ def test_variational_energy_eigenstate():
 
 def test_variational_energy_uniform_l4():
     m = TfiModel(4)
-    assert variational_energy(build_table("uniform", m), m) == pytest.approx(-4.0, abs=1e-12)
+    uniform = build_table("jastrow", m, JastrowParams(0.0, 0.0))
+    assert variational_energy(uniform, m) == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_variational_principle():

@@ -19,7 +19,7 @@ from shotgfmc.gfmc import (
 )
 from shotgfmc.model import TfiModel, all_diagonal_energies
 from shotgfmc.shots import ShotCounts, noisy_amplitudes, sample_counts
-from shotgfmc.trial import AmplitudeTable, build_table
+from shotgfmc.trial import AmplitudeTable, JastrowParams, build_table
 
 from oracles import (
     chain_fill_scalar,
@@ -30,6 +30,9 @@ from oracles import (
     sliding_window_sums_scalar,
     stationary_distribution,
 )
+
+# the Jastrow table without correlators is the uniform table, bit for bit
+UNIFORM = JastrowParams(0.0, 0.0)
 
 
 def _noisy_table(L, M, seed):
@@ -62,7 +65,7 @@ def _transition_counts(states, n_states):
 
 def test_local_energy_uniform_allup_l4():
     m = TfiModel(4)
-    e, _ = local_energy_table(build_table("uniform", m), m)
+    e, _ = local_energy_table(build_table("jastrow", m, UNIFORM), m)
     assert e[0] == pytest.approx(-8.0, abs=1e-12)
 
 
@@ -118,7 +121,7 @@ def test_green_row_uniform_example():
     # so b = 16 at the all-up state
     m = TfiModel(4)
     cfg = GfmcConfig(lambda_shift=8.0, chain_length=2000, warmup=0, l_reweight=10)
-    rec = _one_chain(cfg, build_table("uniform", m), m, 0)
+    rec = _one_chain(cfg, build_table("jastrow", m, UNIFORM), m, 0)
     assert np.any(rec.states == 0)
     assert np.all(rec.b_values[rec.states == 0] == 16.0)
     assert np.array_equal(rec.b_values, 12.0 - all_diagonal_energies(m)[rec.states])
@@ -154,7 +157,7 @@ def test_green_row_rejects_small_lambda():
     m = TfiModel(4)
     cfg = GfmcConfig(lambda_shift=4.0, chain_length=500, warmup=10, l_reweight=20)
     with pytest.raises(ValueError):  # == L*J, not strictly above
-        _one_chain(cfg, build_table("uniform", m), m, 0)
+        _one_chain(cfg, build_table("jastrow", m, UNIFORM), m, 0)
 
 
 def test_transition_probabilities_normalized():
@@ -174,7 +177,7 @@ def test_transition_stay_probability_uniform_l4():
     # 12/16 at the all-up state; 5-sigma binomial window per state
     m = TfiModel(4)
     cfg = GfmcConfig(lambda_shift=8.0, chain_length=5000, warmup=0, l_reweight=10)
-    t = build_table("uniform", m)
+    t = build_table("jastrow", m, UNIFORM)
     recs = run_chain(cfg, [t.amps] * 32, m, [np.random.default_rng(w) for w in range(32)])
     counts = _transition_counts(np.stack([r.states for r in recs]), m.n_states)
     diag = all_diagonal_energies(m)
@@ -254,7 +257,7 @@ def _population_tables():
     for L in (2, 6):
         m = TfiModel(L)
         trial = build_table("jastrow", m)
-        tables = [trial, build_table("uniform", m)]
+        tables = [trial, build_table("jastrow", m, UNIFORM)]
         tables += [_noisy_table(L, M, seed) for M, seed in ((3, 1), (40, 2), (5000, 3))]
         single = np.zeros(1 << L, dtype=np.int64)
         single[(1 << L) - 2] = 9

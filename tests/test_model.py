@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,29 @@ def test_diagonal_energy_matches_dense_oracle():
         states = np.array([(1 << L) - 1, 0, 1], dtype=np.int32)
         assert np.array_equal(all_diagonal_energies(m, states), all_diagonal_energies(m)[states])
 
+
+
+@pytest.mark.parametrize("L, J", [(2, 1.0), (5, 0.7), (16, 1.3)])
+def test_diagonal_energy_bits_match_the_int64_formula(L, J):
+    # -J * float(L - 2 * unequal bonds), as int64 throughout; -0.0 included
+    m = TfiModel(L, J=J)
+    idx = np.arange(m.n_states, dtype=np.int64)
+    rot = (idx >> 1) | ((idx & 1) << (L - 1))
+    ref = -J * (L - 2 * np.bitwise_count(idx ^ rot).astype(np.int64)).astype(np.float64)
+    assert all_diagonal_energies(m).tobytes() == ref.tobytes()
+    if L % 2 == 0:
+        assert np.signbit(ref[ref == 0]).all()
+
+
+def test_diagonal_energies_peak_below_two_and_a_half_results():
+    m = TfiModel(16)
+    tracemalloc.start()
+    try:
+        e = all_diagonal_energies(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * e.nbytes
 
 def test_connected_set_example_l3():
     # H|000> = -3|000> - (|001> + |010> + |100>)

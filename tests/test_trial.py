@@ -3,6 +3,7 @@ import pytest
 
 from shotgfmc.exact import ground_state
 from shotgfmc.model import TfiModel
+from shotgfmc.scaling import TRIAL_KINDS
 from shotgfmc.trial import (
     AmplitudeTable,
     JastrowParams,
@@ -42,15 +43,27 @@ def test_jastrow_log_vectorized_matches_scalar():
 
 
 def test_uniform_table_l3():
-    t = build_table("uniform", TfiModel(3))
+    t = build_table("jastrow", TfiModel(3), JastrowParams(0.0, 0.0))
     assert np.allclose(t.amps, 2.0 ** -1.5, atol=1e-15)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "jastrow"])
+@pytest.mark.parametrize("params", [JastrowParams(0.0, 0.0), JastrowParams()],
+                         ids=["uniform", "jastrow"])
 @pytest.mark.parametrize("L", [2, 3, 6, 10, 14])
-def test_tables_normalized(kind, L):
-    t = build_table(kind, TfiModel(L))
+def test_tables_normalized(params, L):
+    t = build_table("jastrow", TfiModel(L), params)
     assert abs(float(t.amps @ t.amps) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [*TRIAL_KINDS, "uniform"])
+def test_build_table_builds_exactly_the_trial_kinds(kind):
+    m = TfiModel(4)
+    if kind not in TRIAL_KINDS:
+        with pytest.raises(ValueError, match="cannot build table of kind"):
+            build_table(kind, m)
+    else:
+        t = build_table(kind, m, vector=ground_state(m).vector)
+        assert t.amps.shape == (16,)
 
 
 @pytest.mark.parametrize("L", [6, 10])
@@ -82,8 +95,7 @@ def test_jastrow_table_ferro_states_dominate():
 def test_jastrow_zero_params_equals_uniform():
     m = TfiModel(7)
     t0 = build_table("jastrow", m, params=JastrowParams(0.0, 0.0))
-    tu = build_table("uniform", m)
-    assert np.array_equal(t0.amps, tu.amps)
+    assert np.array_equal(t0.amps, np.full(2**7, 1 / np.sqrt(2**7)))
 
 
 def test_jastrow_table_flip_symmetry():
