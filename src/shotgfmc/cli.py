@@ -49,8 +49,8 @@ from .scaling import (
 from .shots import local_energy_scan, write_csv_rows, write_scan_csv
 from .trial import JastrowParams
 
-# scaling.build_trial and scaling.run_walkers call these now, but
-# perfbench/tracing.py still looks them up on this module
+# scaling.build_trial, scaling.run_walkers and shots.draw_tables call
+# these now, but perfbench/tracing.py still looks them up on this module
 from .gfmc import run_chain  # noqa: F401
 from .shots import noisy_amplitudes, sample_counts  # noqa: F401
 from .trial import build_table  # noqa: F401
@@ -121,12 +121,19 @@ def _gfmc_config(cfg: RunConfig) -> GfmcConfig:
                       warmup=cfg.warmup, l_reweight=cfg.l_reweight)
 
 
+def _one_size_model(args, cfg: RunConfig) -> TfiModel:
+    """The model of ed, scan and gfmc, which run one size and reject several."""
+    if len(cfg.L_list) != 1:
+        raise ConfigError(f"{args.command} takes a single size, got model.L = {cfg.L_list}")
+    return TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each only computes, and returns the result main prints, the
 # writers of its files (None: no directory) and its own manifest entries
 
 def _cmd_ed(args, cfg: RunConfig):
-    m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
+    m = _one_size_model(args, cfg)
     gs = ground_state(m, tol=args.tol)
     result = {
         "L": m.L,
@@ -144,7 +151,7 @@ def _cmd_ed(args, cfg: RunConfig):
 def _cmd_scan(args, cfg: RunConfig):
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
-    m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
+    m = _one_size_model(args, cfg)
     trial, _ = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
     # perfbench/tracing.py reads the path as write_scan_csv's second argument
@@ -158,7 +165,7 @@ def _cmd_gfmc(args, cfg: RunConfig):
     if cfg.M_list is not None and len(cfg.M_list) != 1:
         raise ConfigError(f"gfmc takes a single shot budget, got noise.M = {cfg.M_list}")
     M = None if cfg.M_list is None else cfg.M_list[0]
-    m = TfiModel(cfg.L_list[0], cfg.J, cfg.Gamma)
+    m = _one_size_model(args, cfg)
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = reference_energy(m, gs)
     # the exact vector is a 2^L array that no later step reads
@@ -168,15 +175,15 @@ def _cmd_gfmc(args, cfg: RunConfig):
     estimators = {"reweighted": reweighted_energy, "average": average_local_energy}
     per_site = {name: [] for name in estimators}
     chain_rows = []
-    walkers = [(M, rep) for rep in range(cfg.replicates)]
-    for record in run_walkers(m, base, trial, walkers, cfg.base_seed):
+
+    def measure(record):
         for name, estimate in estimators.items():
             per_site[name].append(estimate(record) / m.L)
         if args.dump_chain:
             chain_rows.append(record)
-        # a population's last record would keep all of its arrays alive
-        # while the generator runs the next population
-        del record
+
+    walkers = [(M, rep) for rep in range(cfg.replicates)]
+    run_walkers(m, base, trial, walkers, cfg.base_seed, measure)
     e0_per_site = gs_energy / m.L
     result = {
         "L": m.L, "J": m.J, "Gamma": m.Gamma, "trial": cfg.trial_kind,

@@ -140,6 +140,8 @@ class RunConfig:
         _require(self.replicates >= 1, "experiment.replicates must be >= 1")
         _require(len(self.targets) >= 1 and all(t > 0 for t in self.targets),
                  "experiment.targets must be a nonempty list of positive numbers")
+        _require(len(set(self.targets)) == len(self.targets),
+                 f"experiment.targets must not repeat a value, got {self.targets!r}")
         _require(len(self.fit_window) == 2 and 0 < self.fit_window[0] < self.fit_window[1],
                  "experiment.fit_window must be [lo, hi] with 0 < lo < hi")
         _require(self.crossing_band > 1, "experiment.crossing_band must exceed 1")

@@ -16,9 +16,9 @@ fixed-exponent prefactor that is still reported per L). The per-target
 crossings then feed the exponential fit log2 M* = log2 a + b*L over
 L > 6.
 
-``run_walkers`` is the one driver from walkers (M, rep) to chain records:
-``run_sweep`` and the ``gfmc`` command both run their chains through it,
-and ``build_trial`` builds the trial table they share.
+``run_walkers`` is the one driver from walkers (M, rep) to measured
+chains: ``run_sweep`` and the ``gfmc`` command both run their chains
+through it, and ``build_trial`` builds the trial table they share.
 """
 
 import math
@@ -38,9 +38,11 @@ from .gfmc import (
     run_chain,
 )
 from .model import TfiModel, check_table_size
-from .seeding import derive_seed
-from .shots import noisy_amplitudes, sample_counts, write_csv_rows
+from .shots import draw_tables, write_csv_rows
 from .trial import JastrowParams, build_table, check_ground_state_gamma
+
+# shots.draw_tables calls these; perfbench/tracing.py looks them up here
+from .shots import noisy_amplitudes, sample_counts  # noqa: F401
 
 SECONDS_PER_YEAR = 3.156e7
 
@@ -103,42 +105,25 @@ def build_trial(m: TfiModel, kind: str, jastrow: JastrowParams | None = None):
     return build_table(kind, m, params=jastrow), None
 
 
-def _draw_tables(trial, walkers, rngs) -> np.ndarray:
-    """A population's (W, 2^L) table array: row i is the frozen sqrt(counts/M)
-    table that rngs[i] draws from trial for walker (M, rep) = walkers[i],
-    or a copy of trial where M is None. Each table is drawn straight into
-    its row."""
-    amps = np.empty((len(walkers), len(trial.amps)))
-    # one probability vector per population, freed when the draws are done
-    p = trial.probabilities
-    for row, (M, _), rng in zip(amps, walkers, rngs):
-        if M is None:
-            row[:] = trial.amps
-        else:
-            noisy_amplitudes(sample_counts(p, M, rng), out=row)
-    return amps
+def run_walkers(m: TfiModel, cfg: GfmcConfig, trial, walkers, base_seed: int,
+                measure) -> list:
+    """measure(record) for the ChainRecord of each walker (M, rep), in order.
 
-
-def run_walkers(m: TfiModel, cfg: GfmcConfig, trial, walkers, base_seed: int):
-    """Yield one ChainRecord per walker (M, rep), in order.
-
-    Walker (M, rep) owns default_rng(derive_seed(base_seed, L, M or 0,
-    rep)): it draws its frozen M-shot table of trial first (M None runs
-    on a copy of trial), then its initial state and chain uniforms.
-    Walkers run in populations of at most max_population(cfg); a
-    walker's record does not depend on its population. A population
-    holds its W tables once, in the (W, 2^L) array that run_chain walks,
-    plus its uniforms and its records; the tables are freed before its
-    first record is yielded.
+    Each walker chains on its table and generator from draw_tables, in
+    populations of at most max_population(cfg) that hold their W tables
+    once, in the (W, 2^L) array run_chain walks. A record does not depend
+    on its population, and leaves only through what measure returns.
     """
     width = max_population(cfg)
+    results = []
     for first in range(0, len(walkers), width):
-        batch = walkers[first:first + width]
-        rngs = [np.random.default_rng(derive_seed(base_seed, m.L, M or 0, rep))
-                for M, rep in batch]
-        # the table array is run_chain's argument only, so it dies when
-        # run_chain returns
-        yield from run_chain(cfg, _draw_tables(trial, batch, rngs), m, rngs)
+        amps, rngs = draw_tables(trial, walkers[first:first + width], base_seed)
+        records = run_chain(cfg, amps, m, rngs)
+        # free the tables before measure runs, the records before the next draw
+        del amps
+        results += map(measure, records)
+        del records
+    return results
 
 
 def _run_replicate(task):
@@ -150,9 +135,7 @@ def _run_replicate(task):
     m, cfg, trial, walkers, base_seed, estimator = task
     estimate = reweighted_energy if estimator == "reweighted" else average_local_energy
     try:
-        # map holds no record while the next population runs; a loop variable
-        # would keep the last one, and with it its population's arrays
-        return [e / m.L for e in map(estimate, run_walkers(m, cfg, trial, walkers, base_seed))]
+        return run_walkers(m, cfg, trial, walkers, base_seed, lambda r: estimate(r) / m.L)
     except Exception as exc:
         (M0, rep0), (M1, rep1) = walkers[0], walkers[-1]
         raise RuntimeError(f"walkers failed at L={m.L} (M={M0} rep={rep0} .. "
@@ -341,10 +324,13 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
     crossing_method "local" uses fit_crossing per target;
     "prefactor" derives every crossing from the single windowed
     M^(-1/2) prefactor via crossing_M. Fit failures are recorded per
-    (L, target) instead of aborting. An empty points list is rejected.
+    (L, target) instead of aborting. An empty points list and repeated
+    targets are rejected.
     """
     if not points:
         raise ValueError("summarize needs at least one sweep point")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"targets must be distinct, got {list(targets)}")
     if crossing_method not in CROSSING_METHODS:
         raise ValueError("crossing_method must be 'local' or 'prefactor'")
     by_L: dict[int, list[SweepPoint]] = {}

@@ -72,6 +72,23 @@ def noisy_amplitudes(c: ShotCounts, out: np.ndarray | None = None) -> AmplitudeT
     return AmplitudeTable(c.L, np.sqrt(a, out=a))
 
 
+def draw_tables(trial: AmplitudeTable, walkers, base_seed: int):
+    """(amps, rngs): walker i = (M, rep) owns rngs[i] = default_rng(derive_seed(
+    base_seed, L, M or 0, rep)), which draws its frozen table of M shots of trial
+    straight into row i of the (W, 2^L) array amps (M None: a copy of trial)."""
+    amps = np.empty((len(walkers), len(trial.amps)))
+    rngs = [np.random.default_rng(derive_seed(base_seed, trial.L, M or 0, rep))
+            for M, rep in walkers]
+    # one probability vector per call, freed when the draws are done
+    p = trial.probabilities
+    for row, (M, _), rng in zip(amps, walkers, rngs):
+        if M is None:
+            row[:] = trial.amps
+        else:
+            noisy_amplitudes(sample_counts(p, M, rng), out=row)
+    return amps, rngs
+
+
 @dataclass
 class LocalEnergyScan:
     """Full-basis local-energy fluctuation data for one (L, M0) setting.
@@ -98,7 +115,8 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
                       seed: int) -> LocalEnergyScan:
     """Draw reps frozen shot tables at M = M0 * 2^L and scan e_L everywhere.
 
-    The exact trial must have full support so the reference local energy
+    Replicate r is walker (M, r) of draw_tables, as in sweep and gfmc. The
+    exact trial must have full support so the reference local energy
     exists for every state.
     """
     if M0 < 1 or reps < 1:
@@ -108,13 +126,10 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
     M = M0 * m.n_states
     e_exact, _ = local_energy_table(trial, m)
     order = np.lexsort((np.arange(m.n_states), -trial.amps))
-    noisy_amp = np.empty((reps, m.n_states))
-    noisy_eloc = np.empty((reps, m.n_states))
-    p = trial.probabilities
+    noisy_amp, _ = draw_tables(trial, [(M, rep) for rep in range(reps)], seed)
+    noisy_eloc = np.empty_like(noisy_amp)
     for rep in range(reps):
-        rng = np.random.default_rng(derive_seed(seed, m.L, M, rep))
-        table = noisy_amplitudes(sample_counts(p, M, rng), out=noisy_amp[rep])
-        noisy_eloc[rep], _ = local_energy_table(table, m)
+        noisy_eloc[rep], _ = local_energy_table(AmplitudeTable(m.L, noisy_amp[rep]), m)
     return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.amps.copy(),
                            e_exact, noisy_amp, noisy_eloc)
 

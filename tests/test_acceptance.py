@@ -21,10 +21,9 @@ import pytest
 
 from shotgfmc.cli import main as cli_main
 from shotgfmc.exact import ground_state, variational_energy
-from shotgfmc.gfmc import GfmcConfig, local_energy_table, reweighted_energy, run_chain
+from shotgfmc.gfmc import GfmcConfig, local_energy_table, reweighted_energy
 from shotgfmc.model import TfiModel
-from shotgfmc.scaling import run_sweep, summarize, write_sweep_csv
-from shotgfmc.seeding import derive_seed
+from shotgfmc.scaling import run_sweep, run_walkers, summarize, write_sweep_csv
 from shotgfmc.shots import local_energy_scan, write_scan_csv
 from shotgfmc.trial import build_table
 
@@ -50,16 +49,14 @@ def _sha(data: bytes) -> str:
 # deterministic builders, shared by the fixtures and by criterion 10
 
 def build_noiseless_estimates():
-    """Criterion 4 pipeline: noiseless Jastrow chains, one population of 16 per size."""
+    """Criterion 4 pipeline: 16 noiseless Jastrow chains per size, walkers (None, rep)."""
     per_L = {}
     for L in SWEEP_SIZES:
         m = TfiModel(L)
         trial = build_table("jastrow", m)
         e0ps = ground_state(m).energy / L
-        rngs = [np.random.default_rng(derive_seed(BASE_SEED, L, 0, rep))
-                for rep in range(16)]
-        records = run_chain(NOISELESS_CFG, [trial.amps] * 16, m, rngs)
-        ests = [reweighted_energy(rec) / L for rec in records]
+        ests = run_walkers(m, NOISELESS_CFG, trial, [(None, rep) for rep in range(16)],
+                           BASE_SEED, lambda rec: reweighted_energy(rec) / L)
         per_L[L] = (np.array(ests), e0ps)
     return per_L
 

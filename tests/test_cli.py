@@ -154,6 +154,11 @@ def test_config_rejects_empty_targets():
         from_dict({"experiment": {"targets": []}})
 
 
+def test_config_rejects_repeated_targets():
+    with pytest.raises(ConfigError, match="experiment.targets"):
+        from_dict({"experiment": {"targets": [0.01, 0.01, 0.02]}})
+
+
 def test_cli_sweep_rejects_empty_targets(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "sweep", "--L", "4", "--M", "60,120", "--replicates", "2",
@@ -647,6 +652,22 @@ def test_cli_sweep_end_to_end_deterministic(tmp_path, capsys):
     assert len(rows) == 2 + 2 * 3
 
 
+def test_cli_gfmc_and_sweep_give_each_walker_the_same_energy(tmp_path, capsys):
+    # walker (M, rep) gets the same table, generator and chain in both commands
+    chain = ["--L", "6", "--M", "200", "--replicates", "3", "--chain-length", "3000",
+             "--seed", "5"]
+    code, out, err = _run(capsys, ["gfmc", *chain])
+    assert code == 0, err
+    per_replicate = json.loads(out)["reweighted"]["per_replicate"]
+    code, _, err = _run(capsys, ["sweep", *chain, "--threads", "2",
+                                 "--out-dir", str(tmp_path / "sweep")])
+    assert code == 0, err
+    rows = (tmp_path / "sweep" / "sweep_points.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[:4] for row in rows] == [["6", "200", "jastrow", str(rep)]
+                                                    for rep in range(3)]
+    assert [float(row.split(",")[4]) for row in rows] == per_replicate
+
+
 def test_cli_sweep_summary_is_summarize_plus_provenance(tmp_path, capsys, monkeypatch):
     swept = []
 
@@ -726,6 +747,11 @@ FAILS = {
     "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "1",
                "--chain-length", "2000", "--threads", "1"], None),
     "extrapolate": (["extrapolate", "--a", "-1", "--b", "0.982", "--L", "40"], None),
+    # ed, scan and gfmc run one size; they must not drop the others silently
+    "ed-sizes": (["ed"], {"model": {"L": [4, 6]}}),
+    "scan-sizes": (["scan", "--M0", "2", "--reps", "2"], {"model": {"L": [4, 6]}}),
+    "gfmc-sizes": (["gfmc", "--chain-length", "1000", "--warmup", "100",
+                    "--replicates", "2"], {"model": {"L": [4, 6]}}),
 }
 
 
@@ -790,6 +816,14 @@ def test_cli_failed_compute_prints_nothing_and_writes_no_directory(tmp_path, cap
     assert out == ""
     assert err.startswith("error: ")
     assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["ed-sizes", "scan-sizes", "gfmc-sizes"])
+def test_cli_single_size_commands_name_model_l(tmp_path, capsys, case):
+    argv, config = FAILS[case]
+    code, _, err = _run(capsys, _with_config(tmp_path, argv, config))
+    assert code == 1
+    assert f"{argv[0]} takes a single size, got model.L = [4, 6]" in err
 
 
 @pytest.mark.parametrize("out_dir", [False, True])

@@ -211,10 +211,10 @@ def test_run_walkers_records_do_not_depend_on_the_population_cap(monkeypatch):
     cfg = GfmcConfig(chain_length=3000, warmup=200, l_reweight=50)
     trial, _ = build_trial(m, "jastrow")
     walkers = [(None, 0), (40, 0), (40, 1), (None, 1), (90, 0)]
-    default = list(run_walkers(m, cfg, trial, walkers, 5))
+    default = run_walkers(m, cfg, trial, walkers, 5, lambda r: r)
     assert gfmc.max_population(cfg) >= len(walkers)
     _one_walker_populations(monkeypatch)
-    single = list(run_walkers(m, cfg, trial, walkers, 5))
+    single = run_walkers(m, cfg, trial, walkers, 5, lambda r: r)
     assert len(default) == len(single) == len(walkers)
     for a, b in zip(default, single):
         assert np.array_equal(a.states, b.states)
@@ -240,7 +240,7 @@ def test_run_walkers_holds_each_table_once():
     uniforms = 8 * W * (cfg.chain_length + gfmc._RUN_WINDOW)
     tracemalloc.start()
     try:
-        n = sum(1 for _ in run_walkers(m, cfg, trial, walkers, 11))
+        n = len(run_walkers(m, cfg, trial, walkers, 11, len))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -354,6 +354,12 @@ def test_summarize_prefactor_method_uses_crossing_identity():
 def test_summarize_rejects_no_points():
     with pytest.raises(ValueError, match="at least one sweep point"):
         summarize([])
+
+
+def test_summarize_rejects_repeated_targets():
+    points = _make_points([100, 200, 400], [0.5, 0.4, 0.3], L=8)
+    with pytest.raises(ValueError, match="targets must be distinct"):
+        summarize(points, targets=(0.01, 0.01, 0.02))
 
 
 def test_summarize_records_fit_failures():

@@ -10,6 +10,7 @@ from shotgfmc.shots import (
     NA_TOKEN,
     LocalEnergyScan,
     ShotCounts,
+    draw_tables,
     local_energy_scan,
     noisy_amplitudes,
     sample_counts,
@@ -161,6 +162,33 @@ def test_monotone_information_top_half():
     assert all(b < a for a, b in zip(devs, devs[1:]))
     slope = np.polyfit(np.log(Ms), np.log(devs), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.05)
+
+
+def test_draw_tables_rows_depend_only_on_their_walker():
+    m = TfiModel(5)
+    trial = build_table("jastrow", m)
+    walkers = [(None, 0), (640, 3), (50, 1), (None, 2)]
+    amps, rngs = draw_tables(trial, walkers, 77)
+    assert amps.shape == (4, 32) and len(rngs) == 4
+    assert amps[0].tobytes() == amps[3].tobytes() == trial.amps.tobytes()
+    assert not np.shares_memory(amps, trial.amps)
+    for (M, rep), row in zip(walkers, amps):
+        alone, _ = draw_tables(trial, [(M, rep)], 77)
+        assert alone[0].tobytes() == row.tobytes()
+    rng = np.random.default_rng(derive_seed(77, 5, 640, 3))
+    drawn = noisy_amplitudes(sample_counts(trial.probabilities, 640, rng))
+    assert amps[1].tobytes() == drawn.amps.tobytes()
+    # the walker's generator goes on from where its draw left it
+    assert rngs[1].random() == rng.random()
+
+
+def test_scan_replicate_r_has_the_table_of_walker_m_r():
+    m = TfiModel(5)
+    trial = build_table("jastrow", m)
+    scan = local_energy_scan(m, trial, M0=3, reps=4, seed=6)
+    for r in range(4):
+        amps, _ = draw_tables(trial, [(3 * m.n_states, r)], 6)
+        assert scan.noisy_amp[r].tobytes() == amps[0].tobytes()
 
 
 def test_scan_zero_variance_reference():
