@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .model import TfiModel
 from .trial import AmplitudeTable, JastrowParams, build_table
 from .exact import GroundStateResult, apply_hamiltonian, ground_state, variational_energy
-from .shots import ShotCounts, noisy_amplitudes, sample_counts, local_energy_scan
+from .shots import noisy_amplitudes, sample_counts, local_energy_scan
 from .gfmc import ChainRecord, GfmcConfig, average_local_energy, reweighted_energy, run_chain
 from .scaling import (
     SweepPoint,
@@ -34,7 +34,6 @@ __all__ = [
     "apply_hamiltonian",
     "ground_state",
     "variational_energy",
-    "ShotCounts",
     "sample_counts",
     "noisy_amplitudes",
     "local_energy_scan",

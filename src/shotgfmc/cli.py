@@ -31,13 +31,14 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .exact import ground_state
-from .gfmc import GfmcConfig, average_local_energy, reweighted_energy
+from .gfmc import GfmcConfig
 from .model import TfiModel
 from .scaling import (
     CROSSING_METHODS,
     ESTIMATORS,
     TRIAL_KINDS,
     build_trial,
+    check_size,
     reference_energy,
     run_sweep,
     run_walkers,
@@ -49,9 +50,9 @@ from .scaling import (
 from .shots import local_energy_scan, write_csv_rows, write_scan_csv
 from .trial import JastrowParams
 
-# scaling.build_trial, scaling.run_walkers and shots.draw_tables call
+# scaling (build_trial, run_walkers, ESTIMATORS) and shots.draw_tables call
 # these now, but perfbench/tracing.py still looks them up on this module
-from .gfmc import run_chain  # noqa: F401
+from .gfmc import average_local_energy, reweighted_energy, run_chain  # noqa: F401
 from .shots import noisy_amplitudes, sample_counts  # noqa: F401
 from .trial import build_table  # noqa: F401
 
@@ -166,18 +167,17 @@ def _cmd_gfmc(args, cfg: RunConfig):
         raise ConfigError(f"gfmc takes a single shot budget, got noise.M = {cfg.M_list}")
     M = None if cfg.M_list is None else cfg.M_list[0]
     m = _one_size_model(args, cfg)
+    base = _gfmc_config(cfg)
+    lam = check_size(m, cfg.trial_kind, base)
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = reference_energy(m, gs)
     # the exact vector is a 2^L array that no later step reads
     del gs
-    base = _gfmc_config(cfg)
-    # built per run: perfbench/tracing.py replaces these names before main runs
-    estimators = {"reweighted": reweighted_energy, "average": average_local_energy}
-    per_site = {name: [] for name in estimators}
+    per_site = {name: [] for name in ESTIMATORS}
     chain_rows = []
 
     def measure(record):
-        for name, estimate in estimators.items():
+        for name, estimate in ESTIMATORS.items():
             per_site[name].append(estimate(record) / m.L)
         if args.dump_chain:
             chain_rows.append(record)
@@ -187,7 +187,7 @@ def _cmd_gfmc(args, cfg: RunConfig):
     e0_per_site = gs_energy / m.L
     result = {
         "L": m.L, "J": m.J, "Gamma": m.Gamma, "trial": cfg.trial_kind,
-        "M": M, "lambda_shift": base.resolve_lambda_shift(m),
+        "M": M, "lambda_shift": lam,
         "chain_length": cfg.chain_length, "warmup": cfg.warmup,
         "l_reweight": cfg.l_reweight, "replicates": cfg.replicates,
         "E0_per_site": e0_per_site, "error_per_site": {},

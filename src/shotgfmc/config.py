@@ -21,6 +21,7 @@ from .scaling import (
     ESTIMATORS,
     TRIAL_KINDS,
 )
+from .shots import MAX_SHOTS
 from .trial import JastrowParams
 
 DEFAULT_BASE_SEED = 12345
@@ -134,9 +135,15 @@ class RunConfig:
         _require(self.l_reweight >= 1, "gfmc.l_reweight must be >= 1")
         if self.M0 is not None:
             _require(self.M0 >= 1, "noise.M0 must be >= 1")
+            L = max(self.L_list)  # scan draws M = M0 * 2^L shots
+            _require(self.M0 <= MAX_SHOTS >> L, f"noise.M0 must satisfy M0 * 2^L <= 2^63 - 1 "
+                     f"= {MAX_SHOTS}, got {self.M0} * 2^{L}")
         if self.M_list is not None:
             _require(len(self.M_list) >= 1 and all(isinstance(v, int) and v >= 1 for v in self.M_list),
                      "noise.M must be a nonempty list of integers >= 1")
+            _require(max(self.M_list) <= MAX_SHOTS,
+                     f"noise.M entries must be at most 2^63 - 1 = {MAX_SHOTS}, "
+                     f"got {max(self.M_list)}")
         _require(self.replicates >= 1, "experiment.replicates must be >= 1")
         _require(len(self.targets) >= 1 and all(t > 0 for t in self.targets),
                  "experiment.targets must be a nonempty list of positive numbers")
@@ -147,7 +154,7 @@ class RunConfig:
         _require(self.crossing_band > 1, "experiment.crossing_band must exceed 1")
         _require(self.crossing_method in CROSSING_METHODS,
                  "experiment.crossing_method must be 'local' or 'prefactor'")
-        _require(self.estimator in ESTIMATORS, f"experiment.estimator must be one of {ESTIMATORS}")
+        _require(self.estimator in ESTIMATORS, f"experiment.estimator must be one of {tuple(ESTIMATORS)}")
         _require(all(f in OUTPUT_FORMATS for f in self.formats),
                  f"output.formats entries must be among {OUTPUT_FORMATS}, got {self.formats!r}")
         return self

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TfiModel, all_diagonal_energies, neighbour_sum
-from .trial import AmplitudeTable
 
 DEFAULT_CHAIN_LENGTH = 50_000
 DEFAULT_WARMUP = 1_000
@@ -110,18 +109,18 @@ class ChainRecord:
         return len(self.states)
 
 
-def local_energy_table(t: AmplitudeTable, m: TfiModel) -> tuple[np.ndarray, np.ndarray]:
-    """Local energies for every basis state.
+def local_energy_table(amps: np.ndarray, m: TfiModel) -> tuple[np.ndarray, np.ndarray]:
+    """Local energies for every basis state of the nonnegative 2^L row amps.
 
     Returns (e, defined): e[x] is NaN where the amplitude vanishes and
     defined is the boolean support mask. Zero-amplitude neighbors
     contribute nothing.
     """
-    defined = t.amps > 0.0
-    acc = neighbour_sum(t.amps, m.L)
+    defined = amps > 0.0
+    acc = neighbour_sum(amps, m.L)
     e = np.full(m.n_states, np.nan)
     e[defined] = (
-        all_diagonal_energies(m)[defined] - m.Gamma * acc[defined] / t.amps[defined]
+        all_diagonal_energies(m)[defined] - m.Gamma * acc[defined] / amps[defined]
     )
     return e, defined
 
@@ -273,7 +272,7 @@ def run_chain(cfg: GfmcConfig, amps, m: TfiModel, rngs) -> list[ChainRecord]:
     """Generate a population of chains, one per amplitude table.
 
     amps is the population's (W, 2^L) array, row w walker w's table
-    (nonnegative and normalized, as an AmplitudeTable holds it), and
+    (nonnegative and normalized, a trial's amps or a drawn row), and
     walker w draws from rngs[w]. chain_fill walks amps itself, so the
     population holds its W tables once, plus its uniforms and its
     records. Every walker draws its initial state from its row squared

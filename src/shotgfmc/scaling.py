@@ -38,7 +38,7 @@ from .gfmc import (
     run_chain,
 )
 from .model import TfiModel, check_table_size
-from .shots import draw_tables, write_csv_rows
+from .shots import MAX_SHOTS, draw_tables, write_csv_rows
 from .trial import JastrowParams, build_table, check_ground_state_gamma
 
 # shots.draw_tables calls these; perfbench/tracing.py looks them up here
@@ -52,7 +52,10 @@ SUMMARY_SCHEMA = "scaling_summary.v1"
 DEFAULT_TARGETS = (0.005, 0.01, 0.02)
 DEFAULT_FIT_WINDOW = (0.005, 0.1)
 DEFAULT_CROSSING_BAND = 5.0
-ESTIMATORS = ("reweighted", "average")
+# name -> estimate of a ChainRecord, for sweep and gfmc; each entry looks its
+# function up here at call time, where perfbench/tracing.py wraps it
+ESTIMATORS = {"reweighted": lambda r: reweighted_energy(r),
+              "average": lambda r: average_local_energy(r)}
 CROSSING_METHODS = ("local", "prefactor")
 TRIAL_KINDS = ("jastrow", "exact-groundstate")
 
@@ -91,6 +94,16 @@ def default_m_grid(L: int, trial_kind: str) -> list[int]:
     center = a_ref * 2.0 ** (b_ref * L)
     return sorted({max(1, round(center * 2.0 ** j))
                    for j in range(-_GRID_STEPS_BELOW, _GRID_STEPS_ABOVE + 1)})
+
+
+def check_size(m: TfiModel, trial_kind: str, cfg: GfmcConfig) -> float:
+    """Reject m before any solve and return its resolved shift: the exact
+    trial's Gamma rule first (the auto shift also fails at Gamma = 0), then
+    the table cap, then the shift."""
+    if trial_kind == "exact-groundstate":
+        check_ground_state_gamma(m.Gamma)
+    check_table_size(m)
+    return cfg.resolve_lambda_shift(m)
 
 
 def build_trial(m: TfiModel, kind: str, jastrow: JastrowParams | None = None):
@@ -133,7 +146,7 @@ def _run_replicate(task):
     populations; perfbench/tracing.py wraps it by name.
     """
     m, cfg, trial, walkers, base_seed, estimator = task
-    estimate = reweighted_energy if estimator == "reweighted" else average_local_energy
+    estimate = ESTIMATORS[estimator]
     try:
         return run_walkers(m, cfg, trial, walkers, base_seed, lambda r: estimate(r) / m.L)
     except Exception as exc:
@@ -158,11 +171,11 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     (base_seed, L, M, rep) and a record not on its task or population,
     so neither the schedule nor threads can change any number. A failed
     task aborts the sweep with its (L, M, rep) range attached. Arguments
-    (empty grids and budgets below 1 included), every size and its shift
-    are checked, and the exact trial at Gamma = 0 rejected, before any solve.
+    (empty grids and budgets outside 1 .. MAX_SHOTS included) and every
+    size (check_size) are checked before any solve.
     """
     if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        raise ValueError(f"estimator must be one of {tuple(ESTIMATORS)}")
     if trial_kind not in TRIAL_KINDS:
         raise ValueError(f"trial_kind must be one of {TRIAL_KINDS}")
     if replicates < 2:
@@ -171,17 +184,16 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         raise ValueError("L_grid and m_grid must each give at least one value")
     if m_grid is not None and min(m_grid) < 1:
         raise ValueError(f"every shot budget M must be >= 1, got m_grid = {list(m_grid)}")
+    if m_grid is not None and max(m_grid) > MAX_SHOTS:
+        raise ValueError(f"every shot budget M must be at most 2^63 - 1 = {MAX_SHOTS}, "
+                         f"got m_grid = {list(m_grid)}")
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # before the shift check, whose auto rule also fails at Gamma = 0
-    if trial_kind == "exact-groundstate":
-        check_ground_state_gamma(Gamma)
     models = [TfiModel(L, J, Gamma) for L in sorted(set(L_grid))]
     for m in models:
-        check_table_size(m)
-        base_cfg.resolve_lambda_shift(m)
+        check_size(m, trial_kind, base_cfg)
     tasks = []
     e0_per_site = {}
     for m in models:

@@ -2,9 +2,10 @@
 
 M computational-basis shots are drawn from amps^2 in one multinomial
 sample (sequential conditional binomials, O(2^L) work independent of M),
-and sqrt(counts/M) becomes the shot-noise amplitude table. One table is
-drawn per realization and frozen; unmeasured states keep amplitude
-exactly zero and are never flooded with an epsilon.
+and sqrt(counts/M) becomes the shot-noise amplitude table, a plain array
+like the counts. One table is drawn per realization and frozen;
+unmeasured states keep amplitude exactly zero and are never flooded
+with an epsilon.
 
 The package's CSV rows with float cells (the local-energy scan here and
 the ``gfmc --dump-chain`` records) are built by ``write_csv_rows``: each
@@ -23,6 +24,9 @@ from .trial import AmplitudeTable
 
 PROB_TOL = 1e-12
 
+# largest shot budget M: rng.multinomial takes M as an int64
+MAX_SHOTS = 2**63 - 1
+
 # CSV cell for a local energy that does not exist (zero-count state)
 NA_TOKEN = "NA"
 
@@ -32,22 +36,9 @@ SCAN_SCHEMA = "local_energy_scan.v1"
 CSV_CHUNK_ROWS = 4096
 
 
-@dataclass
-class ShotCounts:
-    L: int
-    M: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (1 << self.L,):
-            raise ValueError("counts table has the wrong length")
-        if self.M < 1 or int(self.counts.sum()) != self.M:
-            raise ValueError("counts must sum to M >= 1")
-
-
-def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> ShotCounts:
-    """Multinomial(M, p) over the full basis, deterministic given rng state."""
+def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial(M, p) over the full basis: the int64 counts of the 2^L
+    states, which sum to M; deterministic given rng state."""
     p = np.asarray(p, dtype=np.float64)
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -57,19 +48,18 @@ def sample_counts(p: np.ndarray, M: int, rng: np.random.Generator) -> ShotCounts
     L = int(len(p)).bit_length() - 1
     if (1 << L) != len(p):
         raise ValueError("probability table length must be a power of two")
-    counts = rng.multinomial(M, p / total)
-    return ShotCounts(L, M, counts)
+    return rng.multinomial(M, p / total)
 
 
-def noisy_amplitudes(c: ShotCounts, out: np.ndarray | None = None) -> AmplitudeTable:
-    """sqrt(counts/M): zero counts give amplitude exactly zero.
+def noisy_amplitudes(counts: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The float64 row sqrt(counts/M): zero counts give amplitude exactly zero.
 
     With out (a float64 array of 2^L entries, such as a row of a
-    population's table array) the amplitudes are computed in place there
-    and the returned table holds out itself, with no 2^L temporary.
+    population's table array) the row is computed in place there and out
+    itself is returned, with no 2^L temporary.
     """
-    a = np.divide(c.counts, c.M, out=out)
-    return AmplitudeTable(c.L, np.sqrt(a, out=a))
+    a = np.divide(counts, M, out=out)
+    return np.sqrt(a, out=a)
 
 
 def draw_tables(trial: AmplitudeTable, walkers, base_seed: int):
@@ -85,7 +75,7 @@ def draw_tables(trial: AmplitudeTable, walkers, base_seed: int):
         if M is None:
             row[:] = trial.amps
         else:
-            noisy_amplitudes(sample_counts(p, M, rng), out=row)
+            noisy_amplitudes(sample_counts(p, M, rng), M, out=row)
     return amps, rngs
 
 
@@ -124,12 +114,12 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
     if np.any(trial.amps == 0.0):
         raise ValueError("scan reference table must have full support")
     M = M0 * m.n_states
-    e_exact, _ = local_energy_table(trial, m)
+    e_exact, _ = local_energy_table(trial.amps, m)
     order = np.lexsort((np.arange(m.n_states), -trial.amps))
     noisy_amp, _ = draw_tables(trial, [(M, rep) for rep in range(reps)], seed)
     noisy_eloc = np.empty_like(noisy_amp)
     for rep in range(reps):
-        noisy_eloc[rep], _ = local_energy_table(AmplitudeTable(m.L, noisy_amp[rep]), m)
+        noisy_eloc[rep], _ = local_energy_table(noisy_amp[rep], m)
     return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.amps.copy(),
                            e_exact, noisy_amp, noisy_eloc)
 

@@ -455,6 +455,71 @@ def test_cli_rejected_exact_trial_leaves_no_directory(tmp_path, capsys, monkeypa
     assert solved == ([] if Gamma == 0 else [L])
 
 
+@pytest.fixture
+def solves_and_draws(monkeypatch):
+    """The solves of scaling.ground_state and the draws of shots.sample_counts,
+    in call order."""
+    calls = []
+
+    def counting_ground_state(m, **kwargs):
+        calls.append(("solve", m.L))
+        return ground_state(m, **kwargs)
+
+    def counting_sample_counts(p, M, rng):
+        calls.append(("draw", M))
+        return sample_counts(p, M, rng)
+
+    sample_counts = shots.sample_counts
+    monkeypatch.setattr(scaling, "ground_state", counting_ground_state)
+    monkeypatch.setattr(shots, "sample_counts", counting_sample_counts)
+    return calls
+
+
+def test_cli_gfmc_rejects_the_shift_before_any_solve_or_draw(tmp_path, capsys,
+                                                              solves_and_draws):
+    # the Jastrow trial at Gamma = 0 has no auto shift; gfmc, like sweep,
+    # checks the size through scaling.check_size before it builds the trial
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"Gamma": 0.0}}))
+    code, out, err = _run(capsys, ["gfmc", "--trial", "jastrow", "--L", "8", "--M", "100",
+                                   "--replicates", "2", "--chain-length", "3000",
+                                   "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert "auto shift needs Gamma > 0" in err
+    assert solves_and_draws == []
+
+
+# rng.multinomial takes M up to 2^63 - 1; scan draws M = M0 * 2^L
+@pytest.mark.parametrize("command, key", [
+    (["gfmc", "--L", "6", "--M", str(10**19), "--replicates", "2",
+      "--chain-length", "3000"], "noise.M"),
+    (["sweep", "--L", "6", "--M", f"100,{10**19}", "--replicates", "2",
+      "--chain-length", "3000", "--threads", "1"], "noise.M"),
+    (["scan", "--L", "6", "--M0", str(2**57), "--reps", "2",
+      "--trial", "exact-groundstate"], "noise.M0"),
+], ids=["gfmc", "sweep", "scan"])
+def test_cli_rejects_a_shot_budget_above_int64_before_any_solve(tmp_path, capsys,
+                                                                 solves_and_draws,
+                                                                 command, key):
+    code, out, err = _run(capsys, [*command, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert out == ""
+    assert f"error: {key} " in err and "2^63 - 1" in err
+    assert solves_and_draws == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_shot_budgets_reach_the_int64_limit():
+    largest = 2**63 - 1
+    RunConfig(L_list=[6], M0=largest >> 6, M_list=[1, largest]).validate()
+    with pytest.raises(ConfigError, match=r"noise\.M entries .* got 9223372036854775808"):
+        RunConfig(M_list=[1, largest + 1]).validate()
+    # every size counts, not only the first
+    with pytest.raises(ConfigError, match=r"noise\.M0 .* got 144115188075855871 \* 2\^8"):
+        RunConfig(L_list=[6, 8], M0=largest >> 6).validate()
+
+
 def test_cli_ed_rejects_sizes_above_the_table_cap(capsys, monkeypatch):
     def build(L):
         raise AssertionError("orbits built for an oversized chain")
@@ -652,14 +717,16 @@ def test_cli_sweep_end_to_end_deterministic(tmp_path, capsys):
     assert len(rows) == 2 + 2 * 3
 
 
-def test_cli_gfmc_and_sweep_give_each_walker_the_same_energy(tmp_path, capsys):
-    # walker (M, rep) gets the same table, generator and chain in both commands
+@pytest.mark.parametrize("estimator", ["reweighted", "average"])
+def test_cli_gfmc_and_sweep_give_each_walker_the_same_energy(tmp_path, capsys, estimator):
+    # walker (M, rep) gets the same table, generator and chain in both
+    # commands, and each estimator reaches both through scaling.ESTIMATORS
     chain = ["--L", "6", "--M", "200", "--replicates", "3", "--chain-length", "3000",
              "--seed", "5"]
     code, out, err = _run(capsys, ["gfmc", *chain])
     assert code == 0, err
-    per_replicate = json.loads(out)["reweighted"]["per_replicate"]
-    code, _, err = _run(capsys, ["sweep", *chain, "--threads", "2",
+    per_replicate = json.loads(out)[estimator]["per_replicate"]
+    code, _, err = _run(capsys, ["sweep", *chain, "--estimator", estimator, "--threads", "2",
                                  "--out-dir", str(tmp_path / "sweep")])
     assert code == 0, err
     rows = (tmp_path / "sweep" / "sweep_points.csv").read_text().splitlines()[2:]

@@ -18,7 +18,7 @@ from shotgfmc.gfmc import (
     sliding_window_sums,
 )
 from shotgfmc.model import TfiModel, all_diagonal_energies
-from shotgfmc.shots import ShotCounts, noisy_amplitudes, sample_counts
+from shotgfmc.shots import noisy_amplitudes, sample_counts
 from shotgfmc.trial import AmplitudeTable, JastrowParams, build_table
 
 from oracles import (
@@ -36,9 +36,10 @@ UNIFORM = JastrowParams(0.0, 0.0)
 
 
 def _noisy_table(L, M, seed):
+    """A drawn row of M shots, held trial-shaped like the tables beside it."""
     m = TfiModel(L)
     p = build_table("jastrow", m).probabilities
-    return noisy_amplitudes(sample_counts(p, M, np.random.default_rng(seed)))
+    return AmplitudeTable(L, noisy_amplitudes(sample_counts(p, M, np.random.default_rng(seed)), M))
 
 
 def _one_chain(cfg, t, m, seed):
@@ -65,7 +66,7 @@ def _transition_counts(states, n_states):
 
 def test_local_energy_uniform_allup_l4():
     m = TfiModel(4)
-    e, _ = local_energy_table(build_table("jastrow", m, UNIFORM), m)
+    e, _ = local_energy_table(build_table("jastrow", m, UNIFORM).amps, m)
     assert e[0] == pytest.approx(-8.0, abs=1e-12)
 
 
@@ -73,14 +74,14 @@ def test_local_energy_zero_variance():
     m = TfiModel(6)
     gs = ground_state(m)
     t = build_table("exact-groundstate", m, vector=gs.vector)
-    e, defined = local_energy_table(t, m)
+    e, defined = local_energy_table(t.amps, m)
     assert defined.all()
     assert np.allclose(e, gs.energy, rtol=0, atol=1e-9)
 
 
 def test_local_energy_matches_direct_oracle():
     m = TfiModel(6)
-    e, _ = local_energy_table(build_table("jastrow", m), m)
+    e, _ = local_energy_table(build_table("jastrow", m).amps, m)
     raw = np.array([jastrow_amp_direct(x, 6, 0.233, 0.083) for x in range(64)])
     raw /= np.linalg.norm(raw)
     for x in range(64):
@@ -90,7 +91,7 @@ def test_local_energy_matches_direct_oracle():
 def test_local_energy_table_matches_single():
     m = TfiModel(5)
     t = _noisy_table(5, 200, 4)
-    e, defined = local_energy_table(t, m)
+    e, defined = local_energy_table(t.amps, m)
     assert np.array_equal(defined, t.amps > 0)
     assert 0 < defined.sum() < 32
     for x in range(32):
@@ -109,7 +110,7 @@ def test_local_energy_table_bit_identical_to_gather_oracle(L, J, Gamma):
     counts = rng.integers(0, 3, size=1 << L)
     counts[0], counts[-1] = 1, 0
     t = AmplitudeTable(L, np.sqrt(counts / counts.sum()))
-    e, defined = local_energy_table(t, m)
+    e, defined = local_energy_table(t.amps, m)
     e_ref, defined_ref = local_energy_table_gather(t.amps, L, J, Gamma)
     assert (~defined).any()
     assert np.array_equal(defined, defined_ref)
@@ -261,7 +262,7 @@ def _population_tables():
         tables += [_noisy_table(L, M, seed) for M, seed in ((3, 1), (40, 2), (5000, 3))]
         single = np.zeros(1 << L, dtype=np.int64)
         single[(1 << L) - 2] = 9
-        tables.append(noisy_amplitudes(ShotCounts(L, 9, single)))
+        tables.append(AmplitudeTable(L, noisy_amplitudes(single, 9)))
         out.append((m, tables))
     return out
 

@@ -13,6 +13,7 @@ from shotgfmc.scaling import (
     SECONDS_PER_YEAR,
     SweepPoint,
     build_trial,
+    check_size,
     crossing_M,
     default_m_grid,
     extrapolate_runtime,
@@ -445,12 +446,39 @@ def solves(monkeypatch):
     ([100], [8], 0.0, "auto shift needs Gamma > 0"),
     ([0], [8], 1.0, "every shot budget M must be >= 1"),
     ([100, -5], [8], 1.0, "every shot budget M must be >= 1"),
-], ids=["oversized-L", "auto-shift-at-Gamma-0", "zero-budget", "negative-budget"])
+    ([100, 2**63], [8], 1.0, r"every shot budget M must be at most 2\^63 - 1"),
+], ids=["oversized-L", "auto-shift-at-Gamma-0", "zero-budget", "negative-budget",
+        "int64-overflowing-budget"])
 def test_run_sweep_rejects_a_bad_size_before_any_solve(solves, m_grid, L_grid, Gamma, message):
     with pytest.raises(ValueError, match=message):
         run_sweep(m_grid, L_grid, "jastrow", GfmcConfig(chain_length=2000), replicates=2,
                   Gamma=Gamma, threads=1)
     assert solves == []
+
+
+@pytest.mark.parametrize("L, trial_kind, Gamma, message", [
+    (MAX_TABLE_L + 1, "exact-groundstate", 0.0, "the ground level is degenerate"),
+    (MAX_TABLE_L + 1, "jastrow", 0.0, f"full-basis table needs L <= {MAX_TABLE_L}"),
+    (8, "jastrow", 0.0, "auto shift needs Gamma > 0"),
+], ids=["Gamma-rule-first", "then-table-size", "then-shift"])
+def test_check_size_rejects_in_order(L, trial_kind, Gamma, message):
+    with pytest.raises(ValueError, match=message):
+        check_size(TfiModel(L, Gamma=Gamma), trial_kind, GfmcConfig(chain_length=2000))
+
+
+def test_check_size_returns_the_resolved_shift():
+    cfg = GfmcConfig(chain_length=2000)
+    assert check_size(TfiModel(8, Gamma=0.5), "exact-groundstate", cfg) == 9.0
+    assert check_size(TfiModel(8), "jastrow", GfmcConfig(lambda_shift=12.5)) == 12.5
+
+
+def test_estimators_look_their_function_up_on_scaling_at_call_time(monkeypatch):
+    # perfbench/tracing.py replaces these module names with timing wrappers
+    monkeypatch.setattr(scaling, "reweighted_energy", lambda r: ("reweighted", r))
+    monkeypatch.setattr(scaling, "average_local_energy", lambda r: ("average", r))
+    assert list(scaling.ESTIMATORS) == ["reweighted", "average"]
+    for name, estimate in scaling.ESTIMATORS.items():
+        assert estimate(7) == (name, 7)
 
 
 @pytest.mark.parametrize("m_grid, L_grid", [([], [8]), ([100], [])],

@@ -9,14 +9,13 @@ from shotgfmc.seeding import derive_seed
 from shotgfmc.shots import (
     NA_TOKEN,
     LocalEnergyScan,
-    ShotCounts,
     draw_tables,
     local_energy_scan,
     noisy_amplitudes,
     sample_counts,
     write_scan_csv,
 )
-from shotgfmc.trial import build_table
+from shotgfmc.trial import AmplitudeTable, build_table
 
 from oracles import write_scan_csv_rows
 
@@ -30,22 +29,23 @@ def test_counts_sum_to_m():
         p = rng.random(1 << L)
         p /= p.sum()
         c = sample_counts(p, M, rng)
-        assert int(c.counts.sum()) == M
-        assert c.counts.min() >= 0
+        assert isinstance(c, np.ndarray) and c.dtype == np.int64 and c.shape == (1 << L,)
+        assert int(c.sum()) == M
+        assert c.min() >= 0
 
 
 def test_degenerate_distribution():
     p = np.zeros(8)
     p[5] = 1.0
     c = sample_counts(p, 1000, np.random.default_rng(0))
-    assert c.counts[5] == 1000
-    assert c.counts.sum() == 1000
+    assert c[5] == 1000
+    assert c.sum() == 1000
 
 
 def test_uniform_counts_moments_and_chisquare():
     p = np.full(4, 0.25)
     M = 1_000_000
-    c = sample_counts(p, M, np.random.default_rng(42)).counts
+    c = sample_counts(p, M, np.random.default_rng(42))
     expected = M * p
     sigma = np.sqrt(M * p * (1 - p))
     assert np.all(np.abs(c - expected) <= 5 * sigma)
@@ -63,17 +63,13 @@ def test_sample_counts_validation():
         sample_counts(np.array([0.5, 0.25, 0.25]), 10, rng)  # not power of two
 
 
-def test_shotcounts_invariant():
-    with pytest.raises(ValueError):
-        ShotCounts(2, 5, np.array([1, 1, 1, 1]))  # sums to 4, not 5
-
-
 def test_noisy_amplitudes_examples():
     counts = np.zeros(8, dtype=np.int64)
     counts[5] = 100
-    t = noisy_amplitudes(ShotCounts(3, 100, counts))
-    assert t.amps[5] == 1.0
-    assert np.all(t.amps[np.arange(8) != 5] == 0.0)
+    t = noisy_amplitudes(counts, 100)
+    assert t.dtype == np.float64
+    assert t[5] == 1.0
+    assert np.all(t[np.arange(8) != 5] == 0.0)
 
 
 def test_noisy_amplitudes_sqrt_and_normalization():
@@ -81,22 +77,22 @@ def test_noisy_amplitudes_sqrt_and_normalization():
     p = rng.random(16)
     p /= p.sum()
     c = sample_counts(p, 999, rng)
-    t = noisy_amplitudes(c)
-    assert np.array_equal(t.amps, np.sqrt(c.counts / 999))
-    assert abs(float(t.amps @ t.amps) - 1.0) < 1e-12
+    t = noisy_amplitudes(c, 999)
+    assert np.array_equal(t, np.sqrt(c / 999))
+    assert abs(float(t @ t) - 1.0) < 1e-12
 
 
 def test_noisy_amplitudes_into_a_row_is_the_same_table():
-    # a table drawn into a row of a population array holds that row, and
-    # its bits are those of a table made on its own
+    # a table drawn into a row of a population array is that row, and its
+    # bits are those of a table made on its own
     p = build_table("jastrow", TfiModel(6)).probabilities
     rng = np.random.default_rng(8)
     population = np.full((3, 64), np.nan)
     for row, M in zip(population, (1, 50, 10**6)):
         c = sample_counts(p, M, rng)
-        table = noisy_amplitudes(c, out=row)
-        assert table.amps.tobytes() == noisy_amplitudes(c).amps.tobytes()
-        assert np.shares_memory(table.amps, row)
+        table = noisy_amplitudes(c, M, out=row)
+        assert table.tobytes() == noisy_amplitudes(c, M).tobytes()
+        assert table is row
     assert not np.isnan(population).any()
 
 
@@ -104,8 +100,8 @@ def test_determinism_identical_streams():
     m = TfiModel(5)
     p = build_table("jastrow", m).probabilities
     seed = derive_seed(77, 5, 640, 3)
-    a = sample_counts(p, 640, np.random.default_rng(seed)).counts
-    b = sample_counts(p, 640, np.random.default_rng(seed)).counts
+    a = sample_counts(p, 640, np.random.default_rng(seed))
+    b = sample_counts(p, 640, np.random.default_rng(seed))
     assert np.array_equal(a, b)
 
 
@@ -117,7 +113,7 @@ def test_mean_counts_match_expectation():
     rng = np.random.default_rng(12)
     acc = np.zeros(8)
     for _ in range(reps):
-        acc += sample_counts(p, M, rng).counts
+        acc += sample_counts(p, M, rng)
     mean = acc / reps
     se = np.sqrt(M * p * (1 - p) / reps)
     assert np.all(np.abs(mean - M * p) <= 5 * se)
@@ -132,7 +128,7 @@ def test_single_state_error_scales_as_inverse_sqrt_m():
     Ms = [10 ** k for k in range(3, 8)]
     mean_abs = []
     for M in Ms:
-        errs = [abs(np.sqrt(sample_counts(p, M, rng).counts[0] / M) - exact0)
+        errs = [abs(np.sqrt(sample_counts(p, M, rng)[0] / M) - exact0)
                 for _ in range(64)]
         mean_abs.append(np.mean(errs))
     slope = np.polyfit(np.log(Ms), np.log(mean_abs), 1)[0]
@@ -144,7 +140,7 @@ def test_monotone_information_top_half():
     # like M^(-1/2)
     m = TfiModel(6)
     trial = build_table("jastrow", m)
-    e_exact, _ = local_energy_table(trial, m)
+    e_exact, _ = local_energy_table(trial.amps, m)
     top = np.argsort(-trial.amps)[: 32]
     rng = np.random.default_rng(5)
     Ms = [1000, 10_000, 100_000, 1_000_000]
@@ -152,7 +148,7 @@ def test_monotone_information_top_half():
     for M in Ms:
         acc, cnt = 0.0, 0
         for _ in range(32):
-            noisy = noisy_amplitudes(sample_counts(trial.probabilities, M, rng))
+            noisy = noisy_amplitudes(sample_counts(trial.probabilities, M, rng), M)
             e_noisy, _ = local_energy_table(noisy, m)
             d = np.abs(e_noisy[top] - e_exact[top])
             good = ~np.isnan(d)
@@ -176,8 +172,8 @@ def test_draw_tables_rows_depend_only_on_their_walker():
         alone, _ = draw_tables(trial, [(M, rep)], 77)
         assert alone[0].tobytes() == row.tobytes()
     rng = np.random.default_rng(derive_seed(77, 5, 640, 3))
-    drawn = noisy_amplitudes(sample_counts(trial.probabilities, 640, rng))
-    assert amps[1].tobytes() == drawn.amps.tobytes()
+    drawn = noisy_amplitudes(sample_counts(trial.probabilities, 640, rng), 640)
+    assert amps[1].tobytes() == drawn.tobytes()
     # the walker's generator goes on from where its draw left it
     assert rngs[1].random() == rng.random()
 
@@ -255,7 +251,7 @@ def test_scan_rejects_partial_support():
     m = TfiModel(3)
     counts = np.zeros(8, dtype=np.int64)
     counts[0] = 10
-    partial = noisy_amplitudes(ShotCounts(3, 10, counts))
+    partial = AmplitudeTable(3, noisy_amplitudes(counts, 10))
     with pytest.raises(ValueError):
         local_energy_scan(m, partial, M0=2, reps=2, seed=0)
 
