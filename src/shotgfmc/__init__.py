@@ -10,7 +10,7 @@ The package has three layers:
 __version__ = "0.1.0"
 
 from .model import TfiModel
-from .trial import AmplitudeTable, JastrowParams, build_table
+from .trial import JastrowParams, build_table
 from .exact import GroundStateResult, apply_hamiltonian, ground_state, variational_energy
 from .shots import noisy_amplitudes, sample_counts, local_energy_scan
 from .gfmc import ChainRecord, GfmcConfig, average_local_energy, reweighted_energy, run_chain
@@ -28,7 +28,6 @@ from .seeding import derive_seed
 __all__ = [
     "TfiModel",
     "JastrowParams",
-    "AmplitudeTable",
     "build_table",
     "GroundStateResult",
     "apply_hamiltonian",

@@ -39,10 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TfiModel, all_diagonal_energies, check_table_size, neighbour_sum, rotate_right
-from .trial import AmplitudeTable
 
 # initial row count of the Krylov basis array; it doubles when full
 BASIS_CAPACITY = 64
+
+# a row passed to variational_energy must have |sum amps^2 - 1| <= NORM_TOL * 2^L
+NORM_TOL = 1e-12
 
 
 @dataclass
@@ -202,8 +204,10 @@ def ground_state(m: TfiModel, tol: float = 1e-10, max_iter: int = 500) -> Ground
     return GroundStateResult(energy, (y / np.sqrt(sizes))[orbit], residual, iterations)
 
 
-def variational_energy(t: AmplitudeTable, m: TfiModel) -> float:
-    """<psi|H|psi> for a normalized amplitude table, evaluated exactly."""
-    if t.L != m.L:
-        raise ValueError("table and model sizes disagree")
-    return float(t.amps @ apply_hamiltonian(t.amps, m))
+def variational_energy(amps: np.ndarray, m: TfiModel) -> float:
+    """<psi|H|psi> for a normalized 2^L amplitude row, evaluated exactly."""
+    h_amps = apply_hamiltonian(amps, m)  # rejects a row of the wrong length
+    norm2 = float(amps @ amps)
+    if abs(norm2 - 1.0) > NORM_TOL * m.n_states:
+        raise ValueError(f"table not normalized: sum amps^2 = {norm2!r}")
+    return float(amps @ h_amps)

@@ -116,6 +116,9 @@ def local_energy_table(amps: np.ndarray, m: TfiModel) -> tuple[np.ndarray, np.nd
     defined is the boolean support mask. Zero-amplitude neighbors
     contribute nothing.
     """
+    if np.shape(amps) != (m.n_states,):
+        raise ValueError(f"table and model sizes disagree: a table of shape "
+                         f"{np.shape(amps)} for L = {m.L}, which needs {m.n_states} entries")
     defined = amps > 0.0
     acc = neighbour_sum(amps, m.L)
     e = np.full(m.n_states, np.nan)
@@ -272,7 +275,7 @@ def run_chain(cfg: GfmcConfig, amps, m: TfiModel, rngs) -> list[ChainRecord]:
     """Generate a population of chains, one per amplitude table.
 
     amps is the population's (W, 2^L) array, row w walker w's table
-    (nonnegative and normalized, a trial's amps or a drawn row), and
+    (nonnegative and normalized, a trial row or a drawn row), and
     walker w draws from rngs[w]. chain_fill walks amps itself, so the
     population holds its W tables once, plus its uniforms and its
     records. Every walker draws its initial state from its row squared

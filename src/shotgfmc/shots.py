@@ -20,7 +20,6 @@ import numpy as np
 from .gfmc import local_energy_table
 from .model import TfiModel
 from .seeding import derive_seed
-from .trial import AmplitudeTable
 
 PROB_TOL = 1e-12
 
@@ -62,18 +61,25 @@ def noisy_amplitudes(counts: np.ndarray, M: int, out: np.ndarray | None = None) 
     return np.sqrt(a, out=a)
 
 
-def draw_tables(trial: AmplitudeTable, walkers, base_seed: int):
+def draw_tables(trial: np.ndarray, walkers, base_seed: int):
     """(amps, rngs): walker i = (M, rep) owns rngs[i] = default_rng(derive_seed(
-    base_seed, L, M or 0, rep)), which draws its frozen table of M shots of trial
-    straight into row i of the (W, 2^L) array amps (M None: a copy of trial)."""
-    amps = np.empty((len(walkers), len(trial.amps)))
-    rngs = [np.random.default_rng(derive_seed(base_seed, trial.L, M or 0, rep))
+    base_seed, L, M or 0, rep)), which draws its frozen table of M shots of the
+    trial row (2^L entries, so L is read from its length) straight into row i
+    of the (W, 2^L) array amps (M None: a copy of the trial).
+
+    Every trial enters chains and scans here, so its signs are checked here.
+    """
+    if np.any(trial < 0):
+        raise ValueError("amplitudes must be nonnegative")
+    amps = np.empty((len(walkers), len(trial)))
+    L = len(trial).bit_length() - 1
+    rngs = [np.random.default_rng(derive_seed(base_seed, L, M or 0, rep))
             for M, rep in walkers]
     # one probability vector per call, freed when the draws are done
-    p = trial.probabilities
+    p = trial * trial
     for row, (M, _), rng in zip(amps, walkers, rngs):
         if M is None:
-            row[:] = trial.amps
+            row[:] = trial
         else:
             noisy_amplitudes(sample_counts(p, M, rng), M, out=row)
     return amps, rngs
@@ -101,9 +107,10 @@ class LocalEnergyScan:
     noisy_eloc: np.ndarray  # (reps, 2^L)
 
 
-def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
+def local_energy_scan(m: TfiModel, trial: np.ndarray, M0: int, reps: int,
                       seed: int) -> LocalEnergyScan:
-    """Draw reps frozen shot tables at M = M0 * 2^L and scan e_L everywhere.
+    """Draw reps frozen shot tables of the 2^L trial row at M = M0 * 2^L
+    and scan e_L everywhere.
 
     Replicate r is walker (M, r) of draw_tables, as in sweep and gfmc. The
     exact trial must have full support so the reference local energy
@@ -111,16 +118,19 @@ def local_energy_scan(m: TfiModel, trial: AmplitudeTable, M0: int, reps: int,
     """
     if M0 < 1 or reps < 1:
         raise ValueError("M0 and reps must be >= 1")
-    if np.any(trial.amps == 0.0):
-        raise ValueError("scan reference table must have full support")
     M = M0 * m.n_states
-    e_exact, _ = local_energy_table(trial.amps, m)
-    order = np.lexsort((np.arange(m.n_states), -trial.amps))
+    if M > MAX_SHOTS:
+        raise ValueError(f"M0 = {M0} gives M = M0 * 2^{m.L} = {M} shots, "
+                         f"above the largest budget {MAX_SHOTS}")
+    if np.any(trial == 0.0):
+        raise ValueError("scan reference table must have full support")
+    e_exact, _ = local_energy_table(trial, m)
+    order = np.lexsort((np.arange(m.n_states), -trial))
     noisy_amp, _ = draw_tables(trial, [(M, rep) for rep in range(reps)], seed)
     noisy_eloc = np.empty_like(noisy_amp)
     for rep in range(reps):
         noisy_eloc[rep], _ = local_energy_table(noisy_amp[rep], m)
-    return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.amps.copy(),
+    return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.copy(),
                            e_exact, noisy_amp, noisy_eloc)
 
 

@@ -1,8 +1,8 @@
 """Normalized trial amplitude tables over the full computational basis.
 
-Tables are dense 2^L float arrays, always L2-normalized, always
-nonnegative. The Jastrow ansatz is evaluated in the log domain with a
-max-shift before exponentiation.
+A table is a plain float64 row of 2^L entries, L2-normalized and
+nonnegative, like a drawn shot table. The Jastrow ansatz is evaluated in
+the log domain with a max-shift before exponentiation.
 """
 
 from dataclasses import dataclass
@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TfiModel, bond_correlations, check_table_size
-
-NORM_TOL = 1e-12
 
 # largest |log amplitude| spread that survives exponentiation after the
 # max-shift without total underflow of the whole table
@@ -30,26 +28,6 @@ class JastrowParams:
             raise ValueError("Jastrow coefficients must be finite")
 
 
-@dataclass
-class AmplitudeTable:
-    L: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=np.float64)
-        if self.amps.shape != (1 << self.L,):
-            raise ValueError(f"table for L={self.L} must have {1 << self.L} entries")
-        if np.any(self.amps < 0):
-            raise ValueError("amplitudes must be nonnegative")
-        norm2 = float(self.amps @ self.amps)
-        if abs(norm2 - 1.0) > NORM_TOL * (1 << self.L):
-            raise ValueError(f"table not normalized: sum amps^2 = {norm2!r}")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.amps * self.amps
-
-
 def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
     """Log of the unnormalized Jastrow amplitude for every basis state.
 
@@ -58,7 +36,7 @@ def jastrow_log_amplitudes(p: JastrowParams, m: TfiModel) -> np.ndarray:
     return p.lambda1 * bond_correlations(m, 1) + p.lambda2 * bond_correlations(m, 2)
 
 
-def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable:
+def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> np.ndarray:
     check_table_size(m)
     p = p or JastrowParams()
     logs = jastrow_log_amplitudes(p, m)
@@ -70,7 +48,7 @@ def jastrow_table(m: TfiModel, p: JastrowParams | None = None) -> AmplitudeTable
         )
     amps = np.exp(logs - logs.max())
     amps /= np.linalg.norm(amps)
-    return AmplitudeTable(m.L, amps)
+    return amps
 
 
 def check_ground_state_gamma(Gamma: float) -> None:
@@ -80,8 +58,9 @@ def check_ground_state_gamma(Gamma: float) -> None:
                          "level is degenerate (both ferromagnetic states); use model.Gamma > 0")
 
 
-def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
-    """Wrap a precomputed ground-state vector (from the exact solver)."""
+def ground_state_table(m: TfiModel, vector: np.ndarray) -> np.ndarray:
+    """The normalized, sign-fixed row of a precomputed ground-state vector
+    (from the exact solver)."""
     check_table_size(m)
     check_ground_state_gamma(m.Gamma)
     v = np.asarray(vector, dtype=np.float64)
@@ -99,12 +78,12 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> AmplitudeTable:
             f"vector has {int(negative.sum())} negative entries, the most negative "
             f"{float(v.min()):.3g}: roundoff on amplitudes below the solver's accuracy; "
             "use a larger model.Gamma")
-    return AmplitudeTable(m.L, v)
+    return v
 
 
 def build_table(kind: str, m: TfiModel, params: JastrowParams | None = None,
-                vector: np.ndarray | None = None) -> AmplitudeTable:
-    """Construct a normalized trial table of the requested kind."""
+                vector: np.ndarray | None = None) -> np.ndarray:
+    """The normalized 2^L trial row of the requested kind."""
     if kind == "jastrow":
         return jastrow_table(m, params)
     if kind == "exact-groundstate":

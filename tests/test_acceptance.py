@@ -170,7 +170,7 @@ def test_criterion_3_zero_variance_property():
         m = TfiModel(L)
         gs = ground_state(m)
         table = build_table("exact-groundstate", m, vector=gs.vector)
-        e, defined = local_energy_table(table.amps, m)
+        e, defined = local_energy_table(table, m)
         assert defined.all()
         spread = float(np.std(e))
         bound = 1e-8 * abs(gs.energy)

@@ -649,7 +649,7 @@ def _chain_record(chain_length=6000):
     m = TfiModel(6)
     table = build_table("exact-groundstate", m, vector=ground_state(m).vector)
     cfg = GfmcConfig(chain_length=chain_length, warmup=100, l_reweight=50)
-    return run_chain(cfg, [table.amps], m, [np.random.default_rng(5)])[0]
+    return run_chain(cfg, [table], m, [np.random.default_rng(5)])[0]
 
 
 @pytest.mark.parametrize("chunk", [shots.CSV_CHUNK_ROWS, 7])

@@ -4,7 +4,7 @@ import pytest
 from shotgfmc import exact
 from shotgfmc.exact import apply_hamiltonian, ground_state, variational_energy
 from shotgfmc.model import MAX_TABLE_L, TfiModel
-from shotgfmc.trial import AmplitudeTable, JastrowParams, build_table
+from shotgfmc.trial import JastrowParams, build_table
 
 from oracles import (
     apply_hamiltonian_gather,
@@ -277,5 +277,12 @@ def test_variational_principle():
     for _ in range(10):
         amps = rng.random(64) + 1e-3
         amps /= np.linalg.norm(amps)
-        t = AmplitudeTable(6, amps)
-        assert variational_energy(t, m) > e0
+        assert variational_energy(amps, m) > e0
+
+
+def test_variational_energy_validation():
+    # the length is checked by apply_hamiltonian, the norm here
+    with pytest.raises(ValueError, match="length 4"):
+        variational_energy(np.array([1.0, 0.0]), TfiModel(2))
+    with pytest.raises(ValueError, match="not normalized"):
+        variational_energy(np.array([0.5, 0.5, 0.5, 0.5]) * 2.0, TfiModel(2))

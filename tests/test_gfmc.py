@@ -18,8 +18,8 @@ from shotgfmc.gfmc import (
     sliding_window_sums,
 )
 from shotgfmc.model import TfiModel, all_diagonal_energies
-from shotgfmc.shots import noisy_amplitudes, sample_counts
-from shotgfmc.trial import AmplitudeTable, JastrowParams, build_table
+from shotgfmc.shots import local_energy_scan, noisy_amplitudes, sample_counts
+from shotgfmc.trial import JastrowParams, build_table
 
 from oracles import (
     chain_fill_scalar,
@@ -36,14 +36,13 @@ UNIFORM = JastrowParams(0.0, 0.0)
 
 
 def _noisy_table(L, M, seed):
-    """A drawn row of M shots, held trial-shaped like the tables beside it."""
-    m = TfiModel(L)
-    p = build_table("jastrow", m).probabilities
-    return AmplitudeTable(L, noisy_amplitudes(sample_counts(p, M, np.random.default_rng(seed)), M))
+    """A drawn row of M shots of the L-site Jastrow trial."""
+    t = build_table("jastrow", TfiModel(L))
+    return noisy_amplitudes(sample_counts(t * t, M, np.random.default_rng(seed)), M)
 
 
 def _one_chain(cfg, t, m, seed):
-    return run_chain(cfg, [t.amps], m, [np.random.default_rng(seed)])[0]
+    return run_chain(cfg, [t], m, [np.random.default_rng(seed)])[0]
 
 
 def _oracle_propagator(t, m, lam):
@@ -53,7 +52,7 @@ def _oracle_propagator(t, m, lam):
     """
     A = lam * np.eye(m.n_states) - dense_hamiltonian(m.L, m.J, m.Gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = A * t.amps[None, :] / t.amps[:, None]
+        A = A * t[None, :] / t[:, None]
     return A, A.sum(axis=1)
 
 
@@ -66,7 +65,7 @@ def _transition_counts(states, n_states):
 
 def test_local_energy_uniform_allup_l4():
     m = TfiModel(4)
-    e, _ = local_energy_table(build_table("jastrow", m, UNIFORM).amps, m)
+    e, _ = local_energy_table(build_table("jastrow", m, UNIFORM), m)
     assert e[0] == pytest.approx(-8.0, abs=1e-12)
 
 
@@ -74,29 +73,39 @@ def test_local_energy_zero_variance():
     m = TfiModel(6)
     gs = ground_state(m)
     t = build_table("exact-groundstate", m, vector=gs.vector)
-    e, defined = local_energy_table(t.amps, m)
+    e, defined = local_energy_table(t, m)
     assert defined.all()
     assert np.allclose(e, gs.energy, rtol=0, atol=1e-9)
 
 
 def test_local_energy_matches_direct_oracle():
     m = TfiModel(6)
-    e, _ = local_energy_table(build_table("jastrow", m).amps, m)
+    e, _ = local_energy_table(build_table("jastrow", m), m)
     raw = np.array([jastrow_amp_direct(x, 6, 0.233, 0.083) for x in range(64)])
     raw /= np.linalg.norm(raw)
     for x in range(64):
         assert e[x] == pytest.approx(local_energy_direct(x, raw, 6, 1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("model_L, table_L", [(4, 5), (5, 4)])
+def test_local_energy_table_rejects_a_row_of_the_wrong_length(model_L, table_L):
+    m, t = TfiModel(model_L), build_table("jastrow", TfiModel(table_L))
+    sizes = rf"shape \({1 << table_L},\) for L = {model_L}, which needs {1 << model_L} entries"
+    with pytest.raises(ValueError, match=sizes):
+        local_energy_table(t, m)
+    with pytest.raises(ValueError, match=sizes):
+        local_energy_scan(m, t, 1, 1, 0)
+
+
 def test_local_energy_table_matches_single():
     m = TfiModel(5)
     t = _noisy_table(5, 200, 4)
-    e, defined = local_energy_table(t.amps, m)
-    assert np.array_equal(defined, t.amps > 0)
+    e, defined = local_energy_table(t, m)
+    assert np.array_equal(defined, t > 0)
     assert 0 < defined.sum() < 32
     for x in range(32):
         if defined[x]:
-            assert e[x] == pytest.approx(local_energy_direct(x, t.amps, 5, 1.0, 1.0),
+            assert e[x] == pytest.approx(local_energy_direct(x, t, 5, 1.0, 1.0),
                                          rel=1e-12)
         else:
             assert np.isnan(e[x])
@@ -109,9 +118,9 @@ def test_local_energy_table_bit_identical_to_gather_oracle(L, J, Gamma):
     rng = np.random.default_rng(200 + L)
     counts = rng.integers(0, 3, size=1 << L)
     counts[0], counts[-1] = 1, 0
-    t = AmplitudeTable(L, np.sqrt(counts / counts.sum()))
-    e, defined = local_energy_table(t.amps, m)
-    e_ref, defined_ref = local_energy_table_gather(t.amps, L, J, Gamma)
+    t = np.sqrt(counts / counts.sum())
+    e, defined = local_energy_table(t, m)
+    e_ref, defined_ref = local_energy_table_gather(t, L, J, Gamma)
     assert (~defined).any()
     assert np.array_equal(defined, defined_ref)
     assert np.array_equal(e, e_ref, equal_nan=True)
@@ -135,7 +144,7 @@ def test_green_row_identity_b_equals_lam_minus_eloc():
     for seed, t in enumerate((build_table("jastrow", m), _noisy_table(6, 640, 8))):
         rec = _one_chain(cfg, t, m, seed)
         for x in np.unique(rec.states):
-            eloc = local_energy_direct(int(x), t.amps, 6, 1.0, 1.0)
+            eloc = local_energy_direct(int(x), t, 6, 1.0, 1.0)
             assert np.allclose(rec.b_values[rec.states == x], lam - eloc, rtol=0, atol=1e-10)
 
 
@@ -148,10 +157,10 @@ def test_green_row_zero_amplitude_neighbor_gets_zero_weight():
     cfg = GfmcConfig(chain_length=3000, warmup=0, l_reweight=20)
     rec = _one_chain(cfg, t, m, 5)
     _, b = _oracle_propagator(t, m, lam)
-    assert np.all(t.amps[rec.states] > 0)
+    assert np.all(t[rec.states] > 0)
     assert np.allclose(rec.b_values, b[rec.states], rtol=1e-12, atol=0)
     flips = rec.states[:, None] ^ (1 << np.arange(4))
-    assert np.any(t.amps[flips] == 0.0)
+    assert np.any(t[flips] == 0.0)
 
 
 def test_green_row_rejects_small_lambda():
@@ -179,7 +188,7 @@ def test_transition_stay_probability_uniform_l4():
     m = TfiModel(4)
     cfg = GfmcConfig(lambda_shift=8.0, chain_length=5000, warmup=0, l_reweight=10)
     t = build_table("jastrow", m, UNIFORM)
-    recs = run_chain(cfg, [t.amps] * 32, m, [np.random.default_rng(w) for w in range(32)])
+    recs = run_chain(cfg, [t] * 32, m, [np.random.default_rng(w) for w in range(32)])
     counts = _transition_counts(np.stack([r.states for r in recs]), m.n_states)
     diag = all_diagonal_energies(m)
     p = (8.0 - diag) / (12.0 - diag)
@@ -248,7 +257,7 @@ def test_run_chain_reachability_respects_support():
     cfg = GfmcConfig(chain_length=20_000, warmup=100, l_reweight=50)
     rec = _one_chain(cfg, t, m, 5)
     visited = np.unique(rec.states)
-    assert np.all(t.amps[visited] > 0)
+    assert np.all(t[visited] > 0)
 
 
 def _population_tables():
@@ -262,18 +271,18 @@ def _population_tables():
         tables += [_noisy_table(L, M, seed) for M, seed in ((3, 1), (40, 2), (5000, 3))]
         single = np.zeros(1 << L, dtype=np.int64)
         single[(1 << L) - 2] = 9
-        tables.append(AmplitudeTable(L, noisy_amplitudes(single, 9)))
+        tables.append(noisy_amplitudes(single, 9))
         out.append((m, tables))
     return out
 
 
 def _scalar_chain(cfg, t, m, rng):
     lam = cfg.resolve_lambda_shift(m)
-    x0 = _draw_initial_state(t.amps, rng)
+    x0 = _draw_initial_state(t, rng)
     urand = rng.random(cfg.chain_length)
     states = np.empty(cfg.chain_length - cfg.warmup, dtype=np.int64)
     bvals = np.empty(cfg.chain_length - cfg.warmup)
-    chain_fill_scalar(t.amps, m.L, m.J, m.Gamma, lam, cfg.warmup, x0, urand,
+    chain_fill_scalar(t, m.L, m.J, m.Gamma, lam, cfg.warmup, x0, urand,
                       states, bvals, np.empty(m.L))
     return states, bvals
 
@@ -284,13 +293,13 @@ def test_population_matches_scalar_reference():
     cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=40)
     for m, tables in _population_tables():
         seeds = [50 + w for w in range(len(tables))]
-        records = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in seeds])
+        records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in seeds])
         assert len(records) == len(tables)
         for t, seed, rec in zip(tables, seeds, records):
             states, bvals = _scalar_chain(cfg, t, m, np.random.default_rng(seed))
             assert rec.states.tobytes() == states.tobytes()
             assert rec.b_values.tobytes() == bvals.tobytes()
-            assert np.all(t.amps[rec.states] > 0)
+            assert np.all(t[rec.states] > 0)
         single = records[-1]
         assert np.all(single.states == (1 << m.L) - 2)
 
@@ -299,7 +308,7 @@ def test_population_width_does_not_change_records():
     m = TfiModel(5)
     tables = [_noisy_table(5, M, 7) for M in (20, 200, 2000)]
     cfg = GfmcConfig(chain_length=1500, warmup=10, l_reweight=20)
-    together = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in (1, 2, 3)])
+    together = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in (1, 2, 3)])
     for t, seed, rec in zip(tables, (1, 2, 3), together):
         alone = _one_chain(cfg, t, m, seed)
         assert alone.states.tobytes() == rec.states.tobytes()
@@ -323,7 +332,7 @@ def test_cdf_top_fallback_matches_scalar():
     # (any u < 1 rounds t below b); stay where no flip weight is positive
     cfg = GfmcConfig(chain_length=300, warmup=0, l_reweight=10)
     for m, tables in _population_tables():
-        records = run_chain(cfg, [t.amps for t in tables], m, [_ConstUniforms(1.0) for _ in tables])
+        records = run_chain(cfg, tables, m, [_ConstUniforms(1.0) for _ in tables])
         for t, rec in zip(tables, records):
             states, bvals = _scalar_chain(cfg, t, m, _ConstUniforms(1.0))
             assert rec.states.tobytes() == states.tobytes()
@@ -394,7 +403,7 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
     tables = [tables[0], tables[1], tables[3], tables[-1]]
     scripts = [_script(chain_length, 60 + w, runs) for w in range(len(tables))]
     rngs = [_ScriptedUniforms(u) for u in scripts]
-    records = run_chain(cfg, [t.amps for t in tables], m, rngs)
+    records = run_chain(cfg, tables, m, rngs)
     for t, u, rng, rec in zip(tables, scripts, rngs, records):
         states, bvals = _scalar_chain(cfg, t, m, _ScriptedUniforms(u))
         assert rec.states.tobytes() == states.tobytes()
@@ -415,8 +424,7 @@ def test_run_length_stepping_matches_scalar_on_scripted_uniforms(name):
 
 def test_run_chain_on_a_population_array_matches_a_list_of_rows():
     cfg = GfmcConfig(chain_length=1500, warmup=20, l_reweight=10)
-    for m, tables in _population_tables():
-        rows = [t.amps for t in tables]
+    for m, rows in _population_tables():
         amps = np.stack(rows)
         seeds = range(90, 90 + len(rows))
         from_rows = run_chain(cfg, rows, m, [np.random.default_rng(s) for s in seeds])
@@ -434,7 +442,7 @@ def test_run_chain_leaves_each_generator_as_one_long_draw_would():
     cfg = GfmcConfig(chain_length=2500, warmup=30, l_reweight=10)
     seeds = range(70, 70 + len(tables))
     rngs = [np.random.default_rng(s) for s in seeds]
-    run_chain(cfg, [t.amps for t in tables], m, rngs)
+    run_chain(cfg, tables, m, rngs)
     for seed, rng in zip(seeds, rngs):
         fresh = np.random.default_rng(seed)
         fresh.random()
@@ -445,7 +453,7 @@ def test_run_chain_leaves_each_generator_as_one_long_draw_would():
 def test_chain_records_are_contiguous_rows():
     m, tables = _population_tables()[1]
     cfg = GfmcConfig(chain_length=1200, warmup=25, l_reweight=10)
-    records = run_chain(cfg, [t.amps for t in tables], m, [np.random.default_rng(s) for s in range(len(tables))])
+    records = run_chain(cfg, tables, m, [np.random.default_rng(s) for s in range(len(tables))])
     for rec in records:
         for values in (rec.states, rec.b_values, rec.e_values):
             assert values.ndim == 1 and len(values) == cfg.chain_length - cfg.warmup
@@ -458,11 +466,11 @@ def test_run_chain_population_validation():
     t = build_table("jastrow", m)
     cfg = GfmcConfig(chain_length=500, warmup=10, l_reweight=20)
     with pytest.raises(ValueError):
-        run_chain(cfg, [t.amps, t.amps], m, [np.random.default_rng(0)])
+        run_chain(cfg, [t, t], m, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         run_chain(cfg, [], m, [])
     with pytest.raises(ValueError):
-        run_chain(cfg, [build_table("jastrow", TfiModel(5)).amps], m, [np.random.default_rng(0)])
+        run_chain(cfg, [build_table("jastrow", TfiModel(5))], m, [np.random.default_rng(0)])
 
 
 def test_draw_initial_state_top_ulp_stays_on_support():
@@ -474,13 +482,12 @@ def test_draw_initial_state_top_ulp_stays_on_support():
         amps = rng.random(m.n_states)
         amps[-3:] = 0.0
         amps /= np.linalg.norm(amps)
-        t = AmplitudeTable(m.L, amps)
-        if t.probabilities.sum() > np.cumsum(t.probabilities)[-1]:
+        if (amps * amps).sum() > np.cumsum(amps * amps)[-1]:
             break
     else:
         pytest.fail("no table with p.sum() > cumsum[-1] found")
     top = _ConstUniforms(np.nextafter(1.0, 0.0))
-    assert _draw_initial_state(t.amps, top) == m.n_states - 4
+    assert _draw_initial_state(amps, top) == m.n_states - 4
 
 
 def test_sliding_window_sums_match_scalar_loop():
@@ -552,7 +559,7 @@ def test_noiseless_gfmc_converges_to_e0():
     cfg = GfmcConfig(chain_length=30_000, warmup=500, l_reweight=100)
     rngs = [np.random.default_rng(100 + rep) for rep in range(8)]
     ests = np.array([reweighted_energy(rec) / 6
-                     for rec in run_chain(cfg, [t.amps] * 8, m, rngs)])
+                     for rec in run_chain(cfg, [t] * 8, m, rngs)])
     se = ests.std(ddof=1) / np.sqrt(len(ests))
     assert abs(ests.mean() - e0) <= 4 * se
 
@@ -563,14 +570,14 @@ def _stationary_run(L):
     m = TfiModel(L)
     t = build_table("jastrow", m)
     cfg = GfmcConfig(chain_length=15_625 + 1000, warmup=1000, l_reweight=100)
-    recs = run_chain(cfg, [t.amps] * 64, m, [np.random.default_rng(31 + w) for w in range(64)])
+    recs = run_chain(cfg, [t] * 64, m, [np.random.default_rng(31 + w) for w in range(64)])
     return m, t, recs[0].lambda_shift, np.stack([r.states for r in recs])
 
 
 @pytest.mark.parametrize("L", [3, 4])
 def test_visit_frequencies_match_stationary_oracle(L):
     m, t, lam, states = _stationary_run(L)
-    pi = stationary_distribution(t.amps, L, 1.0, 1.0, lam)
+    pi = stationary_distribution(t, L, 1.0, 1.0, lam)
     freq = np.bincount(states.ravel(), minlength=1 << L) / states.size
     # each walker is one block; blocked standard errors absorb the chain
     # autocorrelation

@@ -15,7 +15,7 @@ from shotgfmc.shots import (
     sample_counts,
     write_scan_csv,
 )
-from shotgfmc.trial import AmplitudeTable, build_table
+from shotgfmc.trial import build_table
 
 from oracles import write_scan_csv_rows
 
@@ -85,7 +85,8 @@ def test_noisy_amplitudes_sqrt_and_normalization():
 def test_noisy_amplitudes_into_a_row_is_the_same_table():
     # a table drawn into a row of a population array is that row, and its
     # bits are those of a table made on its own
-    p = build_table("jastrow", TfiModel(6)).probabilities
+    t = build_table("jastrow", TfiModel(6))
+    p = t * t
     rng = np.random.default_rng(8)
     population = np.full((3, 64), np.nan)
     for row, M in zip(population, (1, 50, 10**6)):
@@ -98,7 +99,8 @@ def test_noisy_amplitudes_into_a_row_is_the_same_table():
 
 def test_determinism_identical_streams():
     m = TfiModel(5)
-    p = build_table("jastrow", m).probabilities
+    t = build_table("jastrow", m)
+    p = t * t
     seed = derive_seed(77, 5, 640, 3)
     a = sample_counts(p, 640, np.random.default_rng(seed))
     b = sample_counts(p, 640, np.random.default_rng(seed))
@@ -108,7 +110,8 @@ def test_determinism_identical_streams():
 def test_mean_counts_match_expectation():
     # sample mean over many replicates agrees with M*p within 5 combined SE
     m = TfiModel(3)
-    p = build_table("jastrow", m).probabilities
+    t = build_table("jastrow", m)
+    p = t * t
     M, reps = 100, 10_000
     rng = np.random.default_rng(12)
     acc = np.zeros(8)
@@ -122,8 +125,8 @@ def test_mean_counts_match_expectation():
 def test_single_state_error_scales_as_inverse_sqrt_m():
     m = TfiModel(3)
     table = build_table("jastrow", m)
-    p = table.probabilities
-    exact0 = table.amps[0]
+    p = table * table
+    exact0 = table[0]
     rng = np.random.default_rng(21)
     Ms = [10 ** k for k in range(3, 8)]
     mean_abs = []
@@ -140,15 +143,15 @@ def test_monotone_information_top_half():
     # like M^(-1/2)
     m = TfiModel(6)
     trial = build_table("jastrow", m)
-    e_exact, _ = local_energy_table(trial.amps, m)
-    top = np.argsort(-trial.amps)[: 32]
+    e_exact, _ = local_energy_table(trial, m)
+    top = np.argsort(-trial)[: 32]
     rng = np.random.default_rng(5)
     Ms = [1000, 10_000, 100_000, 1_000_000]
     devs = []
     for M in Ms:
         acc, cnt = 0.0, 0
         for _ in range(32):
-            noisy = noisy_amplitudes(sample_counts(trial.probabilities, M, rng), M)
+            noisy = noisy_amplitudes(sample_counts(trial * trial, M, rng), M)
             e_noisy, _ = local_energy_table(noisy, m)
             d = np.abs(e_noisy[top] - e_exact[top])
             good = ~np.isnan(d)
@@ -166,13 +169,13 @@ def test_draw_tables_rows_depend_only_on_their_walker():
     walkers = [(None, 0), (640, 3), (50, 1), (None, 2)]
     amps, rngs = draw_tables(trial, walkers, 77)
     assert amps.shape == (4, 32) and len(rngs) == 4
-    assert amps[0].tobytes() == amps[3].tobytes() == trial.amps.tobytes()
-    assert not np.shares_memory(amps, trial.amps)
+    assert amps[0].tobytes() == amps[3].tobytes() == trial.tobytes()
+    assert not np.shares_memory(amps, trial)
     for (M, rep), row in zip(walkers, amps):
         alone, _ = draw_tables(trial, [(M, rep)], 77)
         assert alone[0].tobytes() == row.tobytes()
     rng = np.random.default_rng(derive_seed(77, 5, 640, 3))
-    drawn = noisy_amplitudes(sample_counts(trial.probabilities, 640, rng), 640)
+    drawn = noisy_amplitudes(sample_counts(trial * trial, 640, rng), 640)
     assert amps[1].tobytes() == drawn.tobytes()
     # the walker's generator goes on from where its draw left it
     assert rngs[1].random() == rng.random()
@@ -200,7 +203,7 @@ def test_scan_rank_order_and_shapes():
     trial = build_table("jastrow", m)
     scan = local_energy_scan(m, trial, M0=3, reps=5, seed=1)
     assert scan.M == 3 * 16
-    ranked = trial.amps[scan.order]
+    ranked = trial[scan.order]
     assert np.all(np.diff(ranked) <= 1e-15)
     # ties broken by state index
     assert scan.order[0] < scan.order[1] or ranked[0] > ranked[1]
@@ -244,16 +247,33 @@ def test_scan_csv_format(tmp_path):
     first = rows[0].split(",")
     assert first[0] == "0" and first[1] == "0"
     state = int(first[2])
-    assert float(first[3]) == trial.amps[state]
+    assert float(first[3]) == trial[state]
 
 
 def test_scan_rejects_partial_support():
     m = TfiModel(3)
     counts = np.zeros(8, dtype=np.int64)
     counts[0] = 10
-    partial = AmplitudeTable(3, noisy_amplitudes(counts, 10))
+    partial = noisy_amplitudes(counts, 10)
     with pytest.raises(ValueError):
         local_energy_scan(m, partial, M0=2, reps=2, seed=0)
+
+
+def test_scan_rejects_an_m0_above_the_largest_budget():
+    # M = M0 * 2^L must fit the int64 multinomial, so a larger M0 is rejected by name
+    m = TfiModel(2)
+    with pytest.raises(ValueError, match=r"M0 = 4611686018427387904 gives M = M0 \* 2\^2"):
+        local_energy_scan(m, build_table("jastrow", m), 2**62, 2, 0)
+    # the smallest M0 whose budget is too large
+    with pytest.raises(ValueError, match="M0"):
+        local_energy_scan(m, build_table("jastrow", m), shots.MAX_SHOTS // m.n_states + 1, 1, 0)
+
+
+def test_draw_tables_rejects_a_negative_trial_entry():
+    trial = np.array([-0.5, 0.5, 0.5, 0.5])
+    for M in (None, 10):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw_tables(trial, [(M, 0)], 0)
 
 
 # NaNs that are not the default quiet NaN: a payload, and a set sign bit

@@ -5,7 +5,6 @@ from shotgfmc.exact import ground_state
 from shotgfmc.model import TfiModel
 from shotgfmc.scaling import TRIAL_KINDS
 from shotgfmc.trial import (
-    AmplitudeTable,
     JastrowParams,
     build_table,
     jastrow_log_amplitudes,
@@ -44,7 +43,7 @@ def test_jastrow_log_vectorized_matches_scalar():
 
 def test_uniform_table_l3():
     t = build_table("jastrow", TfiModel(3), JastrowParams(0.0, 0.0))
-    assert np.allclose(t.amps, 2.0 ** -1.5, atol=1e-15)
+    assert np.allclose(t, 2.0 ** -1.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("params", [JastrowParams(0.0, 0.0), JastrowParams()],
@@ -52,7 +51,7 @@ def test_uniform_table_l3():
 @pytest.mark.parametrize("L", [2, 3, 6, 10, 14])
 def test_tables_normalized(params, L):
     t = build_table("jastrow", TfiModel(L), params)
-    assert abs(float(t.amps @ t.amps) - 1.0) < 1e-12
+    assert abs(float(t @ t) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("kind", [*TRIAL_KINDS, "uniform"])
@@ -63,15 +62,15 @@ def test_build_table_builds_exactly_the_trial_kinds(kind):
             build_table(kind, m)
     else:
         t = build_table(kind, m, vector=ground_state(m).vector)
-        assert t.amps.shape == (16,)
+        assert t.shape == (16,)
 
 
 @pytest.mark.parametrize("L", [6, 10])
 def test_groundstate_table_normalized(L):
     m = TfiModel(L)
     t = build_table("exact-groundstate", m, vector=ground_state(m).vector)
-    assert abs(float(t.amps @ t.amps) - 1.0) < 1e-12
-    assert np.all(t.amps > 0)
+    assert abs(float(t @ t) - 1.0) < 1e-12
+    assert np.all(t > 0)
 
 
 def test_jastrow_table_matches_direct_evaluation():
@@ -80,29 +79,29 @@ def test_jastrow_table_matches_direct_evaluation():
         t = build_table("jastrow", m)
         raw = np.array([jastrow_amp_direct(x, L, 0.233, 0.083) for x in range(1 << L)])
         raw /= np.linalg.norm(raw)
-        assert np.allclose(t.amps, raw, rtol=1e-13, atol=0)
+        assert np.allclose(t, raw, rtol=1e-13, atol=0)
 
 
 def test_jastrow_table_ferro_states_dominate():
     m = TfiModel(6)
     t = build_table("jastrow", m)
-    top = np.argsort(-t.amps)[:2]
+    top = np.argsort(-t)[:2]
     assert set(int(i) for i in top) == {0, 63}
-    assert t.amps[0] == t.amps[63]
-    assert t.amps[0] > t.amps[np.argsort(-t.amps)[2]]
+    assert t[0] == t[63]
+    assert t[0] > t[np.argsort(-t)[2]]
 
 
 def test_jastrow_zero_params_equals_uniform():
     m = TfiModel(7)
     t0 = build_table("jastrow", m, params=JastrowParams(0.0, 0.0))
-    assert np.array_equal(t0.amps, np.full(2**7, 1 / np.sqrt(2**7)))
+    assert np.array_equal(t0, np.full(2**7, 1 / np.sqrt(2**7)))
 
 
 def test_jastrow_table_flip_symmetry():
     m = TfiModel(9)
     t = build_table("jastrow", m)
     idx = np.arange(1 << 9)
-    assert np.array_equal(t.amps, t.amps[~idx & m.mask])
+    assert np.array_equal(t, t[~idx & m.mask])
 
 
 def test_groundstate_table_l2_hand_values():
@@ -114,8 +113,8 @@ def test_groundstate_table_l2_hand_values():
     v = np.sqrt(2.0) - 1.0
     ref = np.array([u, v, v, u])
     ref /= np.linalg.norm(ref)
-    assert np.allclose(t.amps, ref, atol=1e-9)
-    assert np.all(t.amps > 0)
+    assert np.allclose(t, ref, atol=1e-9)
+    assert np.all(t > 0)
 
 
 def test_groundstate_table_rejects_negative_entries_by_name():
@@ -129,7 +128,7 @@ def test_groundstate_table_rejects_negative_entries_by_name():
     assert f"{-1e-16 / np.linalg.norm(vector):.3g}" in message
     # an all-negative vector is the same state with the other sign
     t = build_table("exact-groundstate", m, vector=-np.abs(vector))
-    assert np.all(t.amps >= 0)
+    assert np.all(t >= 0)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -148,11 +147,8 @@ def test_overflow_guard():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([0.5, 0.5, 0.5, 0.5]) * 2.0)
-    with pytest.raises(ValueError):
-        AmplitudeTable(2, np.array([-0.5, 0.5, 0.5, 0.5]))
+    # a row's length, norm and signs are checked where they are used:
+    # test_exact.py::test_variational_energy_validation and
+    # test_shots.py::test_draw_tables_rejects_a_negative_trial_entry
     with pytest.raises(ValueError):
         build_table("exact-groundstate", TfiModel(2))
