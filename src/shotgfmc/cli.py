@@ -13,6 +13,8 @@ are the only non-deterministic fields anywhere).
 ``main`` runs every command the same way: load the config, compute (the
 ``_cmd_*`` handler), write the files, then the manifest, then print the
 result. So a failed compute writes nothing and a failed write prints nothing.
+Handlers take their chain settings from ``RunConfig.gfmc()``. No JSON
+file or line holds an inf or NaN: writing one is an error.
 """
 
 import argparse
@@ -31,7 +33,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .exact import ground_state
-from .gfmc import GfmcConfig
 from .model import TfiModel
 from .scaling import (
     CROSSING_METHODS,
@@ -102,7 +103,7 @@ def _write_outputs(out_dir: str, writers: dict, manifest: dict, t0: float) -> No
 
 def _write_json(path: str, obj: dict) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
+        json.dump(obj, f, indent=1, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -114,12 +115,6 @@ def _load_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, setting.name, value)
     return cfg.validate()
-
-
-def _gfmc_config(cfg: RunConfig) -> GfmcConfig:
-    lam = None if cfg.lambda_shift == "auto" else float(cfg.lambda_shift)
-    return GfmcConfig(lambda_shift=lam, chain_length=cfg.chain_length,
-                      warmup=cfg.warmup, l_reweight=cfg.l_reweight)
 
 
 def _one_size_model(args, cfg: RunConfig) -> TfiModel:
@@ -167,7 +162,7 @@ def _cmd_gfmc(args, cfg: RunConfig):
         raise ConfigError(f"gfmc takes a single shot budget, got noise.M = {cfg.M_list}")
     M = None if cfg.M_list is None else cfg.M_list[0]
     m = _one_size_model(args, cfg)
-    base = _gfmc_config(cfg)
+    base = cfg.gfmc()
     lam = check_size(m, cfg.trial_kind, base)
     trial, gs = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     gs_energy = reference_energy(m, gs)
@@ -216,7 +211,7 @@ def _write_chain_csv(path: str, record) -> None:
 
 def _cmd_sweep(args, cfg: RunConfig):
     points = run_sweep(
-        cfg.M_list, cfg.L_list, cfg.trial_kind, _gfmc_config(cfg),
+        cfg.M_list, cfg.L_list, cfg.trial_kind, cfg.gfmc(),
         replicates=cfg.replicates, J=cfg.J, Gamma=cfg.Gamma,
         base_seed=cfg.base_seed, estimator=cfg.estimator,
         jastrow=JastrowParams(cfg.lambda1, cfg.lambda2),
@@ -283,8 +278,9 @@ def _add_common(sp) -> None:
                     help="base seed (overrides config)")
     sp.add_argument("--out-dir", help="output directory")
     sp.add_argument("--threads", type=int,
-                    help="worker process cap for sweep (default: all cores); "
-                         "the other subcommands accept and ignore it")
+                    help="sweep's task count per size (default: all cores), run on at "
+                         "most one worker process per task and per core; the other "
+                         "subcommands accept and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +370,7 @@ def main(argv=None) -> int:
             _write_outputs(cfg.out_dir, writers, {
                 "command": args.command, "config": cfg.to_dict(),
                 "base_seed": cfg.base_seed, **manifest}, t0)
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True, allow_nan=False))
         return 0
     except (ConfigError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

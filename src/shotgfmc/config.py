@@ -6,13 +6,17 @@ both walk that one table. Unknown keys are rejected with their full path
 so typos never silently fall back to a default. CLI flags override file
 values (each flag's argparse dest is its field name); the resolved
 dictionary (after both) is what gets hashed into the run manifest.
+``validate`` leaves the ``model.*`` and ``gfmc.*`` rules to ``TfiModel``
+(one per size) and ``GfmcConfig``, and reports their errors by key.
 """
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
-from .gfmc import DEFAULT_CHAIN_LENGTH, DEFAULT_REWEIGHT_WINDOW, DEFAULT_WARMUP
+from .gfmc import DEFAULT_CHAIN_LENGTH, DEFAULT_REWEIGHT_WINDOW, DEFAULT_WARMUP, GfmcConfig
+from .model import TfiModel
 from .scaling import (
     CROSSING_METHODS,
     DEFAULT_CROSSING_BAND,
@@ -36,6 +40,16 @@ class ConfigError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+@contextmanager
+def _section(name: str):
+    """Re-raise a ValueError as a ConfigError prefixed by section ``name``: each
+    library message starts with its parameter's name, the key's name there."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def _as_int(value, path: str) -> int:
@@ -115,24 +129,16 @@ class RunConfig:
                 _require(not isinstance(v, float) or math.isfinite(v),
                          f"{setting.metadata['key']} must be finite, got {v!r}")
         _require(len(self.L_list) >= 1, "model.L must give at least one size")
-        for L in self.L_list:
-            _require(isinstance(L, int) and L >= 2, f"model.L entries must be integers >= 2, got {L!r}")
-        _require(self.J > 0, "model.J must satisfy J > 0")
-        _require(self.Gamma >= 0, "model.Gamma must satisfy Gamma >= 0")
+        with _section("model"):
+            models = [TfiModel(L, self.J, self.Gamma) for L in self.L_list]
         _require(self.trial_kind in TRIAL_KINDS, f"trial.kind must be one of {TRIAL_KINDS}")
         if self.lambda_shift != "auto":
             _require(isinstance(self.lambda_shift, (int, float)),
                      f"gfmc.lambda_shift must be a number or 'auto', got {self.lambda_shift!r}")
-            for L in self.L_list:
-                _require(self.lambda_shift > L * self.J,
-                         f"gfmc.lambda_shift must satisfy lambda_shift > L*J = {L * self.J}")
-        _require(
-            self.chain_length > self.warmup + self.l_reweight,
-            "gfmc.chain_length must satisfy chain_length > warmup + l_reweight "
-            f"({self.chain_length} <= {self.warmup} + {self.l_reweight})",
-        )
-        _require(self.warmup >= 0, "gfmc.warmup must be >= 0")
-        _require(self.l_reweight >= 1, "gfmc.l_reweight must be >= 1")
+        with _section("gfmc"):
+            chain = self.gfmc()
+            for m in models if chain.lambda_shift is not None else []:
+                chain.resolve_lambda_shift(m)
         if self.M0 is not None:
             _require(self.M0 >= 1, "noise.M0 must be >= 1")
             L = max(self.L_list)  # scan draws M = M0 * 2^L shots
@@ -158,6 +164,12 @@ class RunConfig:
         _require(all(f in OUTPUT_FORMATS for f in self.formats),
                  f"output.formats entries must be among {OUTPUT_FORMATS}, got {self.formats!r}")
         return self
+
+    def gfmc(self) -> GfmcConfig:
+        """The chain settings, with lambda_shift "auto" as GfmcConfig's None."""
+        lam = None if self.lambda_shift == "auto" else float(self.lambda_shift)
+        return GfmcConfig(lambda_shift=lam, chain_length=self.chain_length,
+                          warmup=self.warmup, l_reweight=self.l_reweight)
 
     def to_dict(self) -> dict:
         out = {}

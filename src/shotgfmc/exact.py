@@ -38,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, all_diagonal_energies, check_table_size, neighbour_sum, rotate_right
+from .model import (
+    TfiModel,
+    all_diagonal_energies,
+    check_row_shape,
+    check_table_size,
+    neighbour_sum,
+    rotate_right,
+)
 
 # initial row count of the Krylov basis array; it doubles when full
 BASIS_CAPACITY = 64
@@ -58,8 +65,7 @@ class GroundStateResult:
 def apply_hamiltonian(v: np.ndarray, m: TfiModel) -> np.ndarray:
     """H v for a dense vector over the 2^L basis."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m.n_states,):
-        raise ValueError(f"vector must have length {m.n_states}")
+    check_row_shape(v.shape, m)
     return all_diagonal_energies(m) * v - m.Gamma * neighbour_sum(v, m.L)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, all_diagonal_energies, neighbour_sum
+from .model import TfiModel, all_diagonal_energies, check_row_shape, neighbour_sum
 
 DEFAULT_CHAIN_LENGTH = 50_000
 DEFAULT_WARMUP = 1_000
@@ -77,13 +77,16 @@ class GfmcConfig:
     l_reweight: int = DEFAULT_REWEIGHT_WINDOW
 
     def __post_init__(self):
+        # each message starts with its parameter's name, its gfmc.* config key
         if self.chain_length <= self.warmup + self.l_reweight:
             raise ValueError(
-                f"chain_length ({self.chain_length}) must exceed "
-                f"warmup + l_reweight ({self.warmup} + {self.l_reweight})"
+                "chain_length must satisfy chain_length > warmup + l_reweight "
+                f"({self.chain_length} <= {self.warmup} + {self.l_reweight})"
             )
-        if self.warmup < 0 or self.l_reweight < 1:
-            raise ValueError("warmup must be >= 0 and l_reweight >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        if self.l_reweight < 1:
+            raise ValueError("l_reweight must be >= 1")
 
     def resolve_lambda_shift(self, m: TfiModel) -> float:
         lam = self.lambda_shift if self.lambda_shift is not None else auto_lambda_shift(m)
@@ -116,9 +119,7 @@ def local_energy_table(amps: np.ndarray, m: TfiModel) -> tuple[np.ndarray, np.nd
     defined is the boolean support mask. Zero-amplitude neighbors
     contribute nothing.
     """
-    if np.shape(amps) != (m.n_states,):
-        raise ValueError(f"table and model sizes disagree: a table of shape "
-                         f"{np.shape(amps)} for L = {m.L}, which needs {m.n_states} entries")
+    check_row_shape(np.shape(amps), m)
     defined = amps > 0.0
     acc = neighbour_sum(amps, m.L)
     e = np.full(m.n_states, np.nan)
@@ -289,8 +290,7 @@ def run_chain(cfg: GfmcConfig, amps, m: TfiModel, rngs) -> list[ChainRecord]:
     amps, rngs = np.asarray(amps), list(rngs)
     if not len(amps) or len(amps) != len(rngs):
         raise ValueError("a population needs one generator per table")
-    if amps.shape[1:] != (m.n_states,):
-        raise ValueError("table and model sizes disagree")
+    check_row_shape(amps.shape[1:], m)
     lam = cfg.resolve_lambda_shift(m)
     x = np.array([_draw_initial_state(row, r) for row, r in zip(amps, rngs)],
                  dtype=np.int64)

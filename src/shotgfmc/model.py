@@ -46,6 +46,13 @@ def check_table_size(m: TfiModel) -> None:
         raise ValueError(f"full-basis table needs L <= {MAX_TABLE_L}, got L={m.L}")
 
 
+def check_row_shape(shape, m: TfiModel) -> None:
+    """Raise ValueError unless shape is (2^L,), the shape of one table row for m."""
+    if tuple(shape) != (m.n_states,):
+        raise ValueError(f"table and model sizes disagree: a table of shape "
+                         f"{tuple(shape)} for L = {m.L}, which needs {m.n_states} entries")
+
+
 def rotate_right(x, d: int, L: int):
     """x with its L low bits rotated right by d (0 <= d < L): bit k moves to k - d mod L."""
     return (x >> d) | ((x & ((1 << d) - 1)) << (L - d))

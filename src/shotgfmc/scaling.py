@@ -166,10 +166,11 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     repeated sizes and budgets run once. Each size's reference energy
     comes from its own Lanczos solve, so the points depend only on the
     arguments. The walkers of one L are split into `threads` run_walkers
-    tasks that fan out over a process pool when threads > 1;
-    threads=None means one per core. Walker seeds depend only on
-    (base_seed, L, M, rep) and a record not on its task or population,
-    so neither the schedule nor threads can change any number. A failed
+    tasks, run on a pool of min(threads, tasks, cores) workers, or
+    in-process when that is 1; threads=None means one per core. Walker
+    seeds depend only on (base_seed, L, M, rep) and a record not on its
+    task or population, so neither the schedule nor threads can change
+    any number. A failed
     task aborts the sweep with its (L, M, rep) range attached. Arguments
     (empty grids and budgets outside 1 .. MAX_SHOTS included) and every
     size (check_size) are checked before any solve.
@@ -205,8 +206,11 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
         for i in range(0, len(walkers), width):
             tasks.append((m, base_cfg, trial, walkers[i:i + width], base_seed, estimator))
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool forks all its workers at the first task, so start no more
+    # than there are tasks and cores
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate, tasks))
     else:
         outcomes = [_run_replicate(task) for task in tasks]
@@ -280,10 +284,17 @@ def fit_prefactor(points: list[SweepPoint],
 
 
 def crossing_M(c: float, eps: float) -> float:
-    """Crossing of c * M^(-1/2) with the constant error line eps."""
+    """Crossing of c * M^(-1/2) with the constant error line eps; FitError
+    where it overflows a float."""
     if c <= 0 or eps <= 0:
         raise ValueError("c and eps must be positive")
-    return (c / eps) ** 2
+    try:
+        m_star = (c / eps) ** 2
+    except OverflowError:
+        m_star = math.inf
+    if not math.isfinite(m_star):
+        raise FitError(f"crossing M* = (c/eps)^2 overflows a float at c = {c!r}, eps = {eps!r}")
+    return m_star
 
 
 def fit_crossing(points: list[SweepPoint], eps: float,
@@ -322,7 +333,11 @@ def fit_exponential(m_star_by_L: dict, L_min_exclusive: int = 6) -> ExponentialF
     Ls = np.array([L for L, _ in items], dtype=np.float64)
     logm = np.log2([v for _, v in items])
     b, log2a = np.polyfit(Ls, logm, 1)
-    return ExponentialFit(float(2.0 ** log2a), float(b), len(items))
+    with np.errstate(over="ignore"):
+        a = float(2.0 ** log2a)
+    if not math.isfinite(a):
+        raise FitError(f"prefactor a = 2^{float(log2a)!r} overflows a float")
+    return ExponentialFit(a, float(b), len(items))
 
 
 def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
@@ -430,7 +445,14 @@ def extrapolate_runtime(a: float, b: float, L: int, circuit_layers: int,
     _require_finite(a=a, b=b, L=L)
     if a <= 0 or L <= 0:
         raise ValueError("a and L must be positive (b may be any finite real)")
-    return runtime_for_shots(a * 2.0 ** (b * L), circuit_layers, gate_clock_hz)
+    try:
+        shots = a * 2.0 ** (b * L)
+    except OverflowError:
+        shots = math.inf
+    if not math.isfinite(shots):
+        raise ValueError(f"shot count a*2^(b*L) overflows a float at "
+                         f"a = {a!r}, b = {b!r}, L = {L!r}")
+    return runtime_for_shots(shots, circuit_layers, gate_clock_hz)
 
 
 def runtime_for_shots(shots: float, circuit_layers: int,
@@ -440,6 +462,10 @@ def runtime_for_shots(shots: float, circuit_layers: int,
     if shots <= 0 or circuit_layers <= 0 or gate_clock_hz <= 0:
         raise ValueError("all inputs must be positive")
     seconds = shots * circuit_layers / gate_clock_hz
+    if not math.isfinite(seconds):
+        raise ValueError(f"wall time shots*circuit_layers/gate_clock_hz overflows a float at "
+                         f"shots = {shots!r}, circuit_layers = {circuit_layers!r}, "
+                         f"gate_clock_hz = {gate_clock_hz!r}")
     return RuntimeEstimate(shots, seconds, seconds / SECONDS_PER_YEAR)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TfiModel, bond_correlations, check_table_size
+from .model import TfiModel, bond_correlations, check_row_shape, check_table_size
 
 # largest |log amplitude| spread that survives exponentiation after the
 # max-shift without total underflow of the whole table
@@ -64,8 +64,7 @@ def ground_state_table(m: TfiModel, vector: np.ndarray) -> np.ndarray:
     check_table_size(m)
     check_ground_state_gamma(m.Gamma)
     v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (m.n_states,):
-        raise ValueError("ground-state vector has the wrong length")
+    check_row_shape(v.shape, m)
     if v.sum() < 0:
         v = -v
     v = v / np.linalg.norm(v)

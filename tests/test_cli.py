@@ -68,6 +68,50 @@ def test_config_rejects_chain_length_inequality():
         from_dict({"gfmc": {"chain_length": 1000, "warmup": 950, "l_reweight": 100}})
 
 
+# each model and gfmc rule: a config that breaks it, and the library call
+# (TfiModel or GfmcConfig) whose ValueError states it
+LIBRARY_RULES = {
+    "model.L": ({"model": {"L": 1}}, lambda: TfiModel(1)),
+    "model.J": ({"model": {"J": -1.0}}, lambda: TfiModel(10, J=-1.0)),
+    "model.Gamma": ({"model": {"Gamma": -0.5}}, lambda: TfiModel(10, Gamma=-0.5)),
+    # the shift is checked for every size, not only the first
+    "gfmc.lambda_shift": ({"model": {"L": [4, 10]}, "gfmc": {"lambda_shift": 8.0}},
+                          lambda: GfmcConfig(lambda_shift=8.0).resolve_lambda_shift(TfiModel(10))),
+    "gfmc.chain_length": ({"gfmc": {"chain_length": 1000, "warmup": 950, "l_reweight": 100}},
+                          lambda: GfmcConfig(chain_length=1000, warmup=950, l_reweight=100)),
+    "gfmc.warmup": ({"gfmc": {"warmup": -1}}, lambda: GfmcConfig(warmup=-1)),
+    "gfmc.l_reweight": ({"gfmc": {"l_reweight": 0}}, lambda: GfmcConfig(l_reweight=0)),
+}
+
+
+@pytest.mark.parametrize("key", list(LIBRARY_RULES))
+def test_config_states_model_and_gfmc_rules_in_the_library_words(tmp_path, capsys,
+                                                                  monkeypatch, key):
+    config, library = LIBRARY_RULES[key]
+    with pytest.raises(ValueError) as rule:
+        library()
+    message = f"{key.split('.')[0]}.{rule.value}"
+    assert message.startswith(f"{key} ")
+    with pytest.raises(ConfigError) as exc:
+        from_dict(config)
+    assert str(exc.value) == message
+    argv = _with_config(tmp_path, ["gfmc", "--out-dir", "given"], config)
+    run = _empty_run_dir(tmp_path, monkeypatch)
+    assert _run(capsys, argv) == (1, "", f"error: {message}\n")
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("gfmc, message", [
+    ({"chain_length": 1000, "warmup": 950, "l_reweight": 100},
+     "gfmc.chain_length must satisfy chain_length > warmup + l_reweight (1000 <= 950 + 100)"),
+    ({"warmup": -1}, "gfmc.warmup must be >= 0"),
+    ({"l_reweight": 0}, "gfmc.l_reweight must be >= 1"),
+])
+def test_cli_chain_rule_messages_keep_their_text(tmp_path, capsys, gfmc, message):
+    argv = _with_config(tmp_path, ["gfmc"], {"gfmc": gfmc})
+    assert _run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 def test_config_type_checks():
     with pytest.raises(ConfigError, match="model.L"):
         from_dict({"model": {"L": 9.5}})
@@ -814,6 +858,11 @@ FAILS = {
     "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "1",
                "--chain-length", "2000", "--threads", "1"], None),
     "extrapolate": (["extrapolate", "--a", "-1", "--b", "0.982", "--L", "40"], None),
+    # finite inputs whose shot count or wall time overflows a float
+    "extrapolate-time": (["extrapolate", "--a", "29.9", "--b", "0.982", "--L", "40",
+                          "--clock-hz", "1e-300"], None),
+    "extrapolate-power": (["extrapolate", "--a", "29.9", "--b", "1e10", "--L", "40"], None),
+    "extrapolate-shots": (["extrapolate", "--a", "1e300", "--b", "1", "--L", "40"], None),
     # ed, scan and gfmc run one size; they must not drop the others silently
     "ed-sizes": (["ed"], {"model": {"L": [4, 6]}}),
     "scan-sizes": (["scan", "--M0", "2", "--reps", "2"], {"model": {"L": [4, 6]}}),
@@ -883,6 +932,48 @@ def test_cli_failed_compute_prints_nothing_and_writes_no_directory(tmp_path, cap
     assert out == ""
     assert err.startswith("error: ")
     assert list(run.iterdir()) == []
+
+
+OVERFLOWS = {
+    "extrapolate-time": "wall time shots*circuit_layers/gate_clock_hz overflows a float at "
+                        "shots = 19958569836988.44, circuit_layers = 40, gate_clock_hz = 1e-300",
+    "extrapolate-power": "shot count a*2^(b*L) overflows a float at "
+                         "a = 29.9, b = 10000000000.0, L = 40",
+    "extrapolate-shots": "shot count a*2^(b*L) overflows a float at a = 1e+300, b = 1.0, L = 40",
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_cli_extrapolate_names_the_inputs_that_overflow(capsys, case):
+    argv, _ = FAILS[case]
+    assert _run(capsys, argv) == (1, "", f"error: {OVERFLOWS[case]}\n")
+
+
+def test_cli_writes_and_prints_no_non_finite_number(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "extrapolate_runtime",
+                        lambda *args: scaling.RuntimeEstimate(1.0, float("inf"), float("inf")))
+    code, out, err = _run(capsys, ["extrapolate", "--a", "1", "--b", "1", "--L", "4"])
+    assert (code, out) == (1, "")
+    assert "Out of range float values are not JSON compliant" in err
+    with pytest.raises(ValueError):
+        cli._write_json(str(tmp_path / "x.json"), {"x": float("nan")})
+
+
+def test_cli_sweep_records_a_crossing_that_overflows(tmp_path, capsys):
+    # the prefactor crossing (c/eps)^2 overflows at so small a target
+    code, out, err = _run(capsys, [
+        "sweep", "--L", "4", "--M", "30,60,120", "--replicates", "2",
+        "--chain-length", "2000", "--threads", "1", "--crossing-method", "prefactor",
+        "--targets", "1e-200,0.01", "--window", "1e-12,10", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0, err
+    summary = json.loads((tmp_path / "out" / "scaling_summary.json").read_text())
+    assert json.loads(out) == summary
+    entry = summary["per_L"]["4"]
+    assert entry["M_star"]["1e-200"] is None
+    assert entry["crossings"]["1e-200"]["error"].startswith(
+        f"crossing M* = (c/eps)^2 overflows a float at c = {entry['c']!r}, eps = 1e-200")
+    assert entry["M_star"]["0.01"] == scaling.crossing_M(entry["c"], 0.01)
 
 
 @pytest.mark.parametrize("case", ["ed-sizes", "scan-sizes", "gfmc-sizes"])

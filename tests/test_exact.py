@@ -282,7 +282,7 @@ def test_variational_principle():
 
 def test_variational_energy_validation():
     # the length is checked by apply_hamiltonian, the norm here
-    with pytest.raises(ValueError, match="length 4"):
+    with pytest.raises(ValueError, match=r"shape \(2,\) for L = 2, which needs 4 entries"):
         variational_energy(np.array([1.0, 0.0]), TfiModel(2))
     with pytest.raises(ValueError, match="not normalized"):
         variational_energy(np.array([0.5, 0.5, 0.5, 0.5]) * 2.0, TfiModel(2))

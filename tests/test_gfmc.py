@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from shotgfmc.exact import ground_state
+from shotgfmc.exact import apply_hamiltonian, ground_state
 from shotgfmc.gfmc import (
     _RUN_WINDOW,
     _WINDOW_RECOMPUTE_EVERY,
@@ -95,6 +95,13 @@ def test_local_energy_table_rejects_a_row_of_the_wrong_length(model_L, table_L):
         local_energy_table(t, m)
     with pytest.raises(ValueError, match=sizes):
         local_energy_scan(m, t, 1, 1, 0)
+    cfg = GfmcConfig(chain_length=500, warmup=10, l_reweight=20)
+    with pytest.raises(ValueError, match=sizes):
+        run_chain(cfg, [t], m, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match=sizes):
+        apply_hamiltonian(t, m)
+    with pytest.raises(ValueError, match=sizes):
+        build_table("exact-groundstate", m, vector=t)
 
 
 def test_local_energy_table_matches_single():

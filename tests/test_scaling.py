@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -105,6 +106,13 @@ def test_crossing_examples():
         crossing_M(-1.0, 0.01)
 
 
+@pytest.mark.parametrize("c, eps", [(0.5, 1e-200), (1e300, 1e-300)])
+def test_crossing_that_overflows_is_a_fit_error(c, eps):
+    # (c/eps)^2 raises OverflowError in the first case and is inf in the second
+    with pytest.raises(FitError, match=re.escape(f"overflows a float at c = {c!r}, eps = {eps!r}")):
+        crossing_M(c, eps)
+
+
 def test_fit_crossing_recovers_power_laws():
     Ms = [2 ** k for k in range(8, 16)]
     for expo, amp in ((-0.5, 3.7), (-0.8, 40.0)):
@@ -140,6 +148,11 @@ def test_fit_exponential_needs_two_sizes():
         fit_exponential({6: 100.0, 8: 500.0}, L_min_exclusive=6)
     with pytest.raises(FitError):
         fit_exponential({8: 500.0, 10: None}, L_min_exclusive=6)
+
+
+def test_fit_exponential_prefactor_that_overflows_is_a_fit_error():
+    with pytest.raises(FitError, match="prefactor a = 2\\^.* overflows a float"):
+        fit_exponential({8: 1e300, 10: 1e-300}, L_min_exclusive=6)
 
 
 def test_extrapolate_runtime_reference_point():
@@ -258,6 +271,40 @@ def test_run_sweep_with_one_walker_populations_matches_across_threads(monkeypatc
         assert (pd.L, pd.M) == (ps.L, ps.M) == (pp.L, pp.M)
         assert np.array_equal(pd.replicate_estimates, ps.replicate_estimates)
         assert np.array_equal(ps.replicate_estimates, pp.replicate_estimates)
+
+
+# 6 threads split the 4 walkers into 4 tasks, 3 threads into 2
+@pytest.mark.parametrize("cores, threads, workers", [
+    (2, 6, [2]), (64, 6, [4]), (64, 3, [2]), (1, 6, []), (64, 1, []),
+])
+def test_run_sweep_starts_at_most_one_worker_per_task_and_core(monkeypatch, cores, threads,
+                                                               workers):
+    # the pool forks max_workers processes at its first task; the recorder
+    # runs the tasks in-process instead
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(scaling, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(scaling.os, "cpu_count", lambda: cores)
+    # 4 walkers, so at most 4 tasks
+    cfg = GfmcConfig(chain_length=400, warmup=10, l_reweight=20)
+    points = run_sweep([64, 128], [4], "jastrow", cfg, replicates=2, threads=threads)
+    assert started == workers
+    serial = run_sweep([64, 128], [4], "jastrow", cfg, replicates=2, threads=1)
+    for p, q in zip(points, serial, strict=True):
+        assert np.array_equal(p.replicate_estimates, q.replicate_estimates)
 
 
 def test_run_replicate_holds_no_record_while_the_next_population_runs(monkeypatch):
