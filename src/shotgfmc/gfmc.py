@@ -121,11 +121,12 @@ def local_energy_table(amps: np.ndarray, m: TfiModel) -> tuple[np.ndarray, np.nd
     """
     check_row_shape(np.shape(amps), m)
     defined = amps > 0.0
-    acc = neighbour_sum(amps, m.L)
-    e = np.full(m.n_states, np.nan)
-    e[defined] = (
-        all_diagonal_energies(m)[defined] - m.Gamma * acc[defined] / amps[defined]
-    )
+    # diag - (Gamma * acc) / amps, in that order, in the neighbour sum's array
+    e = neighbour_sum(amps, m.L)
+    e *= m.Gamma
+    np.divide(e, amps, out=e, where=defined)
+    np.subtract(all_diagonal_energies(m), e, out=e)
+    e[~defined] = np.nan
     return e, defined
 
 

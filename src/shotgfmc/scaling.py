@@ -425,8 +425,20 @@ def summarize(points: list[SweepPoint], targets=DEFAULT_TARGETS,
 
 def _require_finite(**inputs) -> None:
     for name, value in inputs.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an integer too large "
+                             f"for a float") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_positive(**inputs) -> None:
+    bad = {name: value for name, value in inputs.items() if value <= 0}
+    if bad:
+        raise ValueError(f"{' and '.join(bad)} must be positive, got "
+                         f"{' and '.join(repr(v) for v in bad.values())}")
 
 
 class RuntimeEstimate(NamedTuple):
@@ -443,14 +455,15 @@ def extrapolate_runtime(a: float, b: float, L: int, circuit_layers: int,
     readout and communication latency are not included.
     """
     _require_finite(a=a, b=b, L=L)
-    if a <= 0 or L <= 0:
-        raise ValueError("a and L must be positive (b may be any finite real)")
+    # b may be any finite real
+    _require_positive(a=a, L=L)
     try:
         shots = a * 2.0 ** (b * L)
     except OverflowError:
         shots = math.inf
-    if not math.isfinite(shots):
-        raise ValueError(f"shot count a*2^(b*L) overflows a float at "
+    if not math.isfinite(shots) or shots == 0.0:
+        flow = "overflows a float" if shots else "underflows to 0"
+        raise ValueError(f"shot count a*2^(b*L) {flow} at "
                          f"a = {a!r}, b = {b!r}, L = {L!r}")
     return runtime_for_shots(shots, circuit_layers, gate_clock_hz)
 
@@ -459,8 +472,7 @@ def runtime_for_shots(shots: float, circuit_layers: int,
                       gate_clock_hz: float) -> RuntimeEstimate:
     """Wall time for an explicitly given shot count."""
     _require_finite(shots=shots, circuit_layers=circuit_layers, gate_clock_hz=gate_clock_hz)
-    if shots <= 0 or circuit_layers <= 0 or gate_clock_hz <= 0:
-        raise ValueError("all inputs must be positive")
+    _require_positive(shots=shots, circuit_layers=circuit_layers, gate_clock_hz=gate_clock_hz)
     seconds = shots * circuit_layers / gate_clock_hz
     if not math.isfinite(seconds):
         raise ValueError(f"wall time shots*circuit_layers/gate_clock_hz overflows a float at "

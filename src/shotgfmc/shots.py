@@ -61,60 +61,92 @@ def noisy_amplitudes(counts: np.ndarray, M: int, out: np.ndarray | None = None) 
     return np.sqrt(a, out=a)
 
 
-def draw_tables(trial: np.ndarray, walkers, base_seed: int):
-    """(amps, rngs): walker i = (M, rep) owns rngs[i] = default_rng(derive_seed(
-    base_seed, L, M or 0, rep)), which draws its frozen table of M shots of the
-    trial row (2^L entries, so L is read from its length) straight into row i
-    of the (W, 2^L) array amps (M None: a copy of the trial).
+def _draw_walkers(trial: np.ndarray, walkers, base_seed: int, keep) -> list:
+    """Seed and draw every walker: the one place either happens.
+
+    Walker i = (M, rep) owns rng = default_rng(derive_seed(base_seed, L,
+    M or 0, rep)), which draws its Multinomial(M, trial^2) counts first;
+    keep(i, counts) takes them (None when M is None), and the rngs are
+    returned. L is read from the length of the trial row.
 
     Every trial enters chains and scans here, so its signs are checked here.
     """
     if np.any(trial < 0):
         raise ValueError("amplitudes must be nonnegative")
-    amps = np.empty((len(walkers), len(trial)))
     L = len(trial).bit_length() - 1
     rngs = [np.random.default_rng(derive_seed(base_seed, L, M or 0, rep))
             for M, rep in walkers]
     # one probability vector per call, freed when the draws are done
     p = trial * trial
-    for row, (M, _), rng in zip(amps, walkers, rngs):
-        if M is None:
-            row[:] = trial
+    for i, ((M, _), rng) in enumerate(zip(walkers, rngs)):
+        keep(i, None if M is None else sample_counts(p, M, rng))
+    return rngs
+
+
+def draw_tables(trial: np.ndarray, walkers, base_seed: int):
+    """(amps, rngs): walker i = (M, rep) draws its frozen table of M shots
+    of the trial row straight into row i of the (W, 2^L) array amps (M
+    None: a copy of the trial) with rngs[i], as _draw_walkers seeds it.
+    """
+    amps = np.empty((len(walkers), len(trial)))
+
+    def keep(i, counts):
+        if counts is None:
+            amps[i] = trial
         else:
-            noisy_amplitudes(sample_counts(p, M, rng), M, out=row)
-    return amps, rngs
+            noisy_amplitudes(counts, walkers[i][0], out=amps[i])
+
+    return amps, _draw_walkers(trial, walkers, base_seed, keep)
 
 
 @dataclass
 class LocalEnergyScan:
     """Full-basis local-energy fluctuation data for one (L, M0) setting.
 
-    Per-replicate arrays are indexed by basis state; ``order`` lists states
-    by decreasing exact amplitude (rank 0 first), with ties broken by
-    state index. noisy_eloc is NaN where the replicate left a state
-    unmeasured.
+    counts[r] holds the M shot counts of replicate r, in the smallest
+    unsigned type that holds M; its float rows come from replicate(r).
+    ``order`` lists states by decreasing exact amplitude (rank 0 first),
+    with ties broken by state index.
     """
 
-    L: int
+    model: TfiModel
     M0: int
-    M: int
-    reps: int
     seed: int
+    counts: np.ndarray  # (reps, 2^L)
     order: np.ndarray
     exact_amp: np.ndarray
     exact_eloc: np.ndarray
-    noisy_amp: np.ndarray   # (reps, 2^L)
-    noisy_eloc: np.ndarray  # (reps, 2^L)
+
+    @property
+    def L(self) -> int:
+        return self.model.L
+
+    @property
+    def M(self) -> int:
+        return self.M0 * self.model.n_states
+
+    @property
+    def reps(self) -> int:
+        return len(self.counts)
+
+    def replicate(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """(noisy_amp, noisy_eloc) of replicate r: its table sqrt(counts/M),
+        the table of walker (M, r), and the local energies on it (NaN where
+        the replicate left a state unmeasured)."""
+        amp = noisy_amplitudes(self.counts[r], self.M)
+        eloc, _ = local_energy_table(amp, self.model)
+        return amp, eloc
 
 
 def local_energy_scan(m: TfiModel, trial: np.ndarray, M0: int, reps: int,
                       seed: int) -> LocalEnergyScan:
     """Draw reps frozen shot tables of the 2^L trial row at M = M0 * 2^L
-    and scan e_L everywhere.
+    and keep their counts for a scan of e_L everywhere.
 
-    Replicate r is walker (M, r) of draw_tables, as in sweep and gfmc. The
-    exact trial must have full support so the reference local energy
-    exists for every state.
+    Replicate r is walker (M, r) of _draw_walkers, as in sweep and gfmc.
+    The exact trial must have full support so the reference local energy
+    exists for every state. Every check runs here, before any row is
+    written.
     """
     if M0 < 1 or reps < 1:
         raise ValueError("M0 and reps must be >= 1")
@@ -126,12 +158,9 @@ def local_energy_scan(m: TfiModel, trial: np.ndarray, M0: int, reps: int,
         raise ValueError("scan reference table must have full support")
     e_exact, _ = local_energy_table(trial, m)
     order = np.lexsort((np.arange(m.n_states), -trial))
-    noisy_amp, _ = draw_tables(trial, [(M, rep) for rep in range(reps)], seed)
-    noisy_eloc = np.empty_like(noisy_amp)
-    for rep in range(reps):
-        noisy_eloc[rep], _ = local_energy_table(noisy_amp[rep], m)
-    return LocalEnergyScan(m.L, M0, M, reps, seed, order, trial.copy(),
-                           e_exact, noisy_amp, noisy_eloc)
+    counts = np.empty((reps, m.n_states), dtype=np.min_scalar_type(M))
+    _draw_walkers(trial, [(M, rep) for rep in range(reps)], seed, counts.__setitem__)
+    return LocalEnergyScan(m, M0, seed, counts, order, trial.copy(), e_exact)
 
 
 def _float_words(x: np.ndarray) -> np.ndarray:
@@ -190,6 +219,8 @@ def write_csv_rows(f, cells) -> None:
 def write_scan_csv(scan: LocalEnergyScan, path) -> None:
     """Rows in (rep, rank) order; undefined local energies become NA.
 
+    Each replicate's float rows come from scan.replicate(rep) just before
+    its rows are written, so one replicate's rows are held at a time.
     Every float is written as its repr, once per distinct value in what
     is formatted at once: rank, state, exact_amp and exact_eloc once per
     file, noisy_amp (a few hundred distinct sqrt(k/M)) once per
@@ -205,6 +236,6 @@ def write_scan_csv(scan: LocalEnergyScan, path) -> None:
         f.write(f"# schema={SCAN_SCHEMA}\n".encode())
         f.write(b"rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
         for rep in range(scan.reps):
-            noisy_amp = _float_words(scan.noisy_amp[rep, order])
-            write_csv_rows(f, [f"{rep},".encode(), head, noisy_amp, b",", exact_eloc, b",",
-                               scan.noisy_eloc[rep, order], tail])
+            noisy_amp, noisy_eloc = scan.replicate(rep)
+            write_csv_rows(f, [f"{rep},".encode(), head, _float_words(noisy_amp[order]), b",",
+                               exact_eloc, b",", noisy_eloc[order], tail])

@@ -222,12 +222,13 @@ def write_scan_csv_rows(scan, path) -> None:
         f.write("# schema=local_energy_scan.v1\n")
         f.write("rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
         for rep in range(scan.reps):
+            noisy_amp, noisy_eloc = scan.replicate(rep)
             for rank, state in enumerate(scan.order):
-                ne = scan.noisy_eloc[rep, state]
+                ne = noisy_eloc[state]
                 ne_txt = "NA" if np.isnan(ne) else repr(float(ne))
                 f.write(
                     f"{rep},{rank},{state},{float(scan.exact_amp[state])!r},"
-                    f"{float(scan.noisy_amp[rep, state])!r},"
+                    f"{float(noisy_amp[state])!r},"
                     f"{float(scan.exact_eloc[state])!r},"
                     f"{ne_txt},{scan.L},{scan.M0},{scan.seed}\n"
                 )

@@ -195,7 +195,8 @@ def test_criterion_4_noiseless_gfmc_correctness(noiseless_run):
 
 
 def _per_state_relative_rms(scan):
-    dev = scan.noisy_eloc - scan.exact_eloc[None, :]
+    noisy_eloc = np.array([scan.replicate(r)[1] for r in range(scan.reps)])
+    dev = noisy_eloc - scan.exact_eloc[None, :]
     defined = ~np.isnan(dev)
     sq = np.where(defined, dev * dev, 0.0)
     cnt = defined.sum(axis=0)

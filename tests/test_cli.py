@@ -863,6 +863,14 @@ FAILS = {
                           "--clock-hz", "1e-300"], None),
     "extrapolate-power": (["extrapolate", "--a", "29.9", "--b", "1e10", "--L", "40"], None),
     "extrapolate-shots": (["extrapolate", "--a", "1e300", "--b", "1", "--L", "40"], None),
+    # finite inputs whose shot count underflows to 0, and inputs out of range
+    "extrapolate-underflow": (["extrapolate", "--a", "29.9", "--b", "-100", "--L", "40"], None),
+    "extrapolate-huge-layers": (["extrapolate", "--a", "1", "--b", "1", "--L", "4",
+                                 "--layers", "1" + "0" * 400], None),
+    "extrapolate-zero-layers": (["extrapolate", "--a", "1", "--b", "1", "--L", "4",
+                                 "--layers", "0"], None),
+    "extrapolate-negative-clock": (["extrapolate", "--a", "1", "--b", "1", "--L", "4",
+                                    "--clock-hz", "-5"], None),
     # ed, scan and gfmc run one size; they must not drop the others silently
     "ed-sizes": (["ed"], {"model": {"L": [4, 6]}}),
     "scan-sizes": (["scan", "--M0", "2", "--reps", "2"], {"model": {"L": [4, 6]}}),
@@ -947,6 +955,20 @@ OVERFLOWS = {
 def test_cli_extrapolate_names_the_inputs_that_overflow(capsys, case):
     argv, _ = FAILS[case]
     assert _run(capsys, argv) == (1, "", f"error: {OVERFLOWS[case]}\n")
+
+
+REJECTS = {
+    "extrapolate-underflow": "shot count a*2^(b*L) underflows to 0 at a = 29.9, b = -100.0, L = 40",
+    "extrapolate-huge-layers": "circuit_layers must be finite, got an integer too large for a float",
+    "extrapolate-zero-layers": "circuit_layers must be positive, got 0",
+    "extrapolate-negative-clock": "gate_clock_hz must be positive, got -5.0",
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTS))
+def test_cli_extrapolate_names_the_input_it_rejects(capsys, case):
+    argv, _ = FAILS[case]
+    assert _run(capsys, argv) == (1, "", f"error: {REJECTS[case]}\n")
 
 
 def test_cli_writes_and_prints_no_non_finite_number(tmp_path, capsys, monkeypatch):

@@ -548,6 +548,24 @@ def test_extrapolate_runtime_rejects_non_finite_inputs(bad):
         extrapolate_runtime(**args)
 
 
+def test_extrapolate_runtime_rejects_a_shot_count_that_underflows():
+    with pytest.raises(ValueError, match=r"^shot count a\*2\^\(b\*L\) underflows to 0 at "
+                                         r"a = 29.9, b = -100.0, L = 40$"):
+        extrapolate_runtime(29.9, -100.0, 40, 40, 1e4)
+    # the smallest positive float is a shot count, not an underflow
+    assert extrapolate_runtime(1.0, -537.0, 2, 40, 1e4).shots == 5e-324
+
+
+def test_runtime_for_shots_names_every_input_that_is_not_positive():
+    with pytest.raises(ValueError, match="^circuit_layers must be positive, got 0$"):
+        runtime_for_shots(1.6e13, 0, 1e4)
+    with pytest.raises(ValueError, match=r"^shots and gate_clock_hz must be positive, "
+                                         r"got -1.0 and 0.0$"):
+        runtime_for_shots(-1.0, 40, 0.0)
+    with pytest.raises(ValueError, match="^circuit_layers must be finite, got an integer"):
+        runtime_for_shots(1.6e13, 10 ** 400, 1e4)
+
+
 @pytest.mark.parametrize("bad", [
     {"shots": float("inf")}, {"shots": float("nan")},
     {"gate_clock_hz": float("inf")}, {"gate_clock_hz": float("nan")},

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from shotgfmc.model import TfiModel
 from shotgfmc.seeding import derive_seed
 from shotgfmc.shots import (
     NA_TOKEN,
-    LocalEnergyScan,
     draw_tables,
     local_energy_scan,
     noisy_amplitudes,
@@ -181,13 +183,53 @@ def test_draw_tables_rows_depend_only_on_their_walker():
     assert rngs[1].random() == rng.random()
 
 
+def _stacked(scan):
+    """The (reps, 2^L) noisy_amp and noisy_eloc arrays of every replicate."""
+    rows = [scan.replicate(r) for r in range(scan.reps)]
+    return np.array([a for a, _ in rows]), np.array([e for _, e in rows])
+
+
 def test_scan_replicate_r_has_the_table_of_walker_m_r():
     m = TfiModel(5)
     trial = build_table("jastrow", m)
     scan = local_energy_scan(m, trial, M0=3, reps=4, seed=6)
     for r in range(4):
         amps, _ = draw_tables(trial, [(3 * m.n_states, r)], 6)
-        assert scan.noisy_amp[r].tobytes() == amps[0].tobytes()
+        noisy_amp, noisy_eloc = scan.replicate(r)
+        assert noisy_amp.tobytes() == amps[0].tobytes()
+        assert noisy_eloc.tobytes() == local_energy_table(amps[0], m)[0].tobytes()
+
+
+@pytest.mark.parametrize("L, M0, dtype", [(4, 1, np.uint8), (4, 20, np.uint16),
+                                          (4, 5000, np.uint32), (16, 10, np.uint32),
+                                          (2, shots.MAX_SHOTS // 4, np.uint64)])
+def test_scan_holds_each_replicates_counts_in_the_smallest_unsigned_type(L, M0, dtype):
+    m = TfiModel(L)
+    scan = local_energy_scan(m, build_table("jastrow", m), M0, reps=3, seed=2)
+    assert scan.counts.dtype == dtype == np.min_scalar_type(scan.M)
+    assert scan.counts.shape == (3, m.n_states)
+    assert scan.counts.sum(axis=1, dtype=object).tolist() == [scan.M] * 3
+    for r in range(3):
+        noisy_amp, _ = scan.replicate(r)
+        assert np.array_equal(noisy_amp == 0.0, scan.counts[r] == 0)
+
+
+def test_scan_holds_no_float_row_per_replicate():
+    m = TfiModel(12)
+    trial = build_table("jastrow", m)
+    tracemalloc.start()
+    try:
+        scan = local_energy_scan(m, trial, M0=10, reps=16, seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for f in fields(scan):
+        value = getattr(scan, f.name)
+        assert not (isinstance(value, np.ndarray) and value.ndim == 2
+                    and value.dtype.kind == "f"), f.name
+    # uint16 counts (128 KiB) and three 2^L rows; one float (reps, 2^L)
+    # array alone would take 512 KiB
+    assert held < scan.counts.nbytes + 4 * 8 * m.n_states
 
 
 def test_scan_zero_variance_reference():
@@ -207,18 +249,19 @@ def test_scan_rank_order_and_shapes():
     assert np.all(np.diff(ranked) <= 1e-15)
     # ties broken by state index
     assert scan.order[0] < scan.order[1] or ranked[0] > ranked[1]
-    assert scan.noisy_amp.shape == (5, 16)
-    assert scan.noisy_eloc.shape == (5, 16)
+    assert scan.reps == 5 and scan.counts.shape == (5, 16)
+    assert all(row.shape == (16,) for r in range(5) for row in scan.replicate(r))
 
 
 def test_scan_undefined_states_are_nan():
     m = TfiModel(4)
     trial = build_table("jastrow", m)
     scan = local_energy_scan(m, trial, M0=1, reps=4, seed=3)
-    unmeasured = scan.noisy_amp == 0.0
+    noisy_amp, noisy_eloc = _stacked(scan)
+    unmeasured = noisy_amp == 0.0
     assert unmeasured.any()
-    assert np.isnan(scan.noisy_eloc[unmeasured]).all()
-    assert not np.isnan(scan.noisy_eloc[~unmeasured]).any()
+    assert np.isnan(noisy_eloc[unmeasured]).all()
+    assert not np.isnan(noisy_eloc[~unmeasured]).any()
 
 
 def test_scan_determinism():
@@ -226,8 +269,8 @@ def test_scan_determinism():
     trial = build_table("jastrow", m)
     a = local_energy_scan(m, trial, M0=2, reps=3, seed=5)
     b = local_energy_scan(m, trial, M0=2, reps=3, seed=5)
-    assert np.array_equal(a.noisy_amp, b.noisy_amp)
-    assert np.array_equal(a.noisy_eloc, b.noisy_eloc, equal_nan=True)
+    assert np.array_equal(a.counts, b.counts)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(_stacked(a), _stacked(b)))
 
 
 def test_scan_csv_format(tmp_path):
@@ -281,6 +324,24 @@ _PAYLOAD_NANS = np.array([0x7FF8_0000_0000_BEEF, -0x0008_0000_0000_0001],
                          dtype=np.int64).view(np.float64)
 
 
+@dataclass
+class _CraftedScan:
+    """A stand-in for LocalEnergyScan whose replicate(r) returns crafted rows."""
+
+    L: int
+    M0: int
+    reps: int
+    seed: int
+    order: np.ndarray
+    exact_amp: np.ndarray
+    exact_eloc: np.ndarray
+    noisy_amp: np.ndarray   # (reps, 2^L)
+    noisy_eloc: np.ndarray  # (reps, 2^L)
+
+    def replicate(self, r):
+        return self.noisy_amp[r], self.noisy_eloc[r]
+
+
 def _synthetic_scan(L, reps):
     """A scan table with the cases a writer that formats each distinct value
     once can get wrong: NA rows (two of them NaNs with a non-default bit
@@ -310,8 +371,8 @@ def _synthetic_scan(L, reps):
     exact_eloc[-1] = 3e+16
     exact_eloc[0] = noisy_eloc[0, -1]       # shared across columns
     order = np.lexsort((np.arange(n), -exact_amp))
-    return LocalEnergyScan(L, 7, M, reps, 11, order, exact_amp, exact_eloc,
-                           np.sqrt(counts / M), noisy_eloc)
+    return _CraftedScan(L, 7, reps, 11, order, exact_amp, exact_eloc,
+                        np.sqrt(counts / M), noisy_eloc)
 
 
 @pytest.mark.parametrize("L, reps, chunk", [
@@ -355,7 +416,8 @@ def test_scan_csv_writes_negative_zero_local_energy(tmp_path):
     m = TfiModel(4)
     trial = build_table("exact-groundstate", m, vector=ground_state(m).vector)
     scan = local_energy_scan(m, trial, M0=1, reps=3, seed=0)
-    assert np.any((scan.noisy_eloc == 0.0) & np.signbit(scan.noisy_eloc))
+    _, noisy_eloc = _stacked(scan)
+    assert np.any((noisy_eloc == 0.0) & np.signbit(noisy_eloc))
     write_scan_csv(scan, tmp_path / "fast.csv")
     write_scan_csv_rows(scan, tmp_path / "rows.csv")
     assert ",-0.0,4,1,0\n" in (tmp_path / "fast.csv").read_text()
