@@ -48,7 +48,7 @@ from .scaling import (
     summarize,
     write_sweep_csv,
 )
-from .shots import local_energy_scan, write_csv_rows, write_scan_csv
+from .shots import check_threads, local_energy_scan, write_csv_rows, write_scan_csv
 from .trial import JastrowParams
 
 # scaling (build_trial, run_walkers, ESTIMATORS) and shots.draw_tables call
@@ -145,13 +145,14 @@ def _cmd_ed(args, cfg: RunConfig):
 
 
 def _cmd_scan(args, cfg: RunConfig):
+    threads = check_threads(args.threads)
     if cfg.M0 is None:
         raise ConfigError("scan needs --M0 (or noise.M0 in the config)")
     m = _one_size_model(args, cfg)
     trial, _ = build_trial(m, cfg.trial_kind, JastrowParams(cfg.lambda1, cfg.lambda2))
     scan = local_energy_scan(m, trial, cfg.M0, cfg.replicates, cfg.base_seed)
     # perfbench/tracing.py reads the path as write_scan_csv's second argument
-    writers = {"local_energy_scan.csv": partial(write_scan_csv, scan)}
+    writers = {"local_energy_scan.csv": partial(write_scan_csv, scan, threads=threads)}
     result = {"written": [os.path.join(cfg.out_dir, "local_energy_scan.csv")], "L": m.L,
               "M0": cfg.M0, "M": scan.M, "replicates": cfg.replicates}
     return result, writers, {}
@@ -278,9 +279,10 @@ def _add_common(sp) -> None:
                     help="base seed (overrides config)")
     sp.add_argument("--out-dir", help="output directory")
     sp.add_argument("--threads", type=int,
-                    help="sweep's task count per size (default: all cores), run on at "
-                         "most one worker process per task and per core; the other "
-                         "subcommands accept and ignore it")
+                    help="sweep's task count per size, scan's CSV writer count (one "
+                         "group of replicates each); default: all cores. Each starts at "
+                         "most one process per task and per core; the other subcommands "
+                         "accept and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,7 @@ from .gfmc import (
     run_chain,
 )
 from .model import TfiModel, check_table_size
-from .shots import MAX_SHOTS, draw_tables, write_csv_rows
+from .shots import MAX_SHOTS, check_threads, draw_tables, write_csv_rows
 from .trial import JastrowParams, build_table, check_ground_state_gamma
 
 # shots.draw_tables calls these; perfbench/tracing.py looks them up here
@@ -188,10 +188,7 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     if m_grid is not None and max(m_grid) > MAX_SHOTS:
         raise ValueError(f"every shot budget M must be at most 2^63 - 1 = {MAX_SHOTS}, "
                          f"got m_grid = {list(m_grid)}")
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = check_threads(threads)
     models = [TfiModel(L, J, Gamma) for L in sorted(set(L_grid))]
     for m in models:
         check_size(m, trial_kind, base_cfg)
@@ -474,8 +471,9 @@ def runtime_for_shots(shots: float, circuit_layers: int,
     _require_finite(shots=shots, circuit_layers=circuit_layers, gate_clock_hz=gate_clock_hz)
     _require_positive(shots=shots, circuit_layers=circuit_layers, gate_clock_hz=gate_clock_hz)
     seconds = shots * circuit_layers / gate_clock_hz
-    if not math.isfinite(seconds):
-        raise ValueError(f"wall time shots*circuit_layers/gate_clock_hz overflows a float at "
+    if not math.isfinite(seconds) or seconds == 0.0:
+        flow = "overflows a float" if seconds else "underflows to 0"
+        raise ValueError(f"wall time shots*circuit_layers/gate_clock_hz {flow} at "
                          f"shots = {shots!r}, circuit_layers = {circuit_layers!r}, "
                          f"gate_clock_hz = {gate_clock_hz!r}")
     return RuntimeEstimate(shots, seconds, seconds / SECONDS_PER_YEAR)

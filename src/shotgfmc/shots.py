@@ -10,9 +10,17 @@ with an epsilon.
 The package's CSV rows with float cells (the local-energy scan here and
 the ``gfmc --dump-chain`` records) are built by ``write_csv_rows``: each
 float is written as its repr, computed once per distinct bit pattern, and
-rows are joined as bytes in numpy, CSV_CHUNK_ROWS at a time.
+rows are joined as bytes in numpy, CSV_CHUNK_ROWS at a time. The scan's
+replicates are written by up to ``threads`` forked processes, one
+contiguous group each, into part files that are then appended in order,
+so its bytes do not depend on ``threads``.
 """
 
+import contextlib
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +224,16 @@ def write_csv_rows(f, cells) -> None:
         f.write(rows[rows != 0])
 
 
-def write_scan_csv(scan: LocalEnergyScan, path) -> None:
+def check_threads(threads: int | None) -> int:
+    """The process count asked for: None means one per core; below 1 is an error."""
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def write_scan_csv(scan: LocalEnergyScan, path, threads: int | None = 1) -> None:
     """Rows in (rep, rank) order; undefined local energies become NA.
 
     Each replicate's float rows come from scan.replicate(rep) just before
@@ -226,16 +243,73 @@ def write_scan_csv(scan: LocalEnergyScan, path) -> None:
     file, noisy_amp (a few hundred distinct sqrt(k/M)) once per
     replicate, and noisy_eloc (mostly distinct) once per chunk of rows,
     which bounds the memory its words take.
+
+    The replicates are split into min(threads, reps, cores) contiguous
+    groups (threads None: one per core). This process writes the header
+    and group 0 into path; each later group is written by a forked child
+    into its own part file beside path, which is then appended in order
+    and removed. The bytes do not depend on threads. A failed group stops
+    the others; no child or part file outlives the call.
     """
+    threads = check_threads(threads)
     order = scan.order
     n = len(order)
     head = _row_matrix([np.arange(n), b",", order, b",", scan.exact_amp[order], b","], 0, n)
     exact_eloc = _float_words(scan.exact_eloc[order])
     tail = f",{scan.L},{scan.M0},{scan.seed}\n".encode()
-    with open(path, "wb") as f:
-        f.write(f"# schema={SCAN_SCHEMA}\n".encode())
-        f.write(b"rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
-        for rep in range(scan.reps):
+
+    def write_reps(f, reps):
+        for rep in reps:
             noisy_amp, noisy_eloc = scan.replicate(rep)
             write_csv_rows(f, [f"{rep},".encode(), head, _float_words(noisy_amp[order]), b",",
                                exact_eloc, b",", noisy_eloc[order], tail])
+
+    k = min(threads, scan.reps, os.cpu_count() or 1)
+    groups = [range(scan.reps * g // k, scan.reps * (g + 1) // k) for g in range(k)]
+    parts = [f"{path}.part{g}" for g in range(1, k)]
+    children = {}  # part file -> pid of the child that writes it
+    try:
+        for part, reps in zip(parts, groups[1:]):
+            pid = os.fork()
+            if pid == 0:
+                _write_part(write_reps, part, reps)
+            children[part] = pid
+        with open(path, "wb") as f:
+            f.write(f"# schema={SCAN_SCHEMA}\n".encode())
+            f.write(b"rep,rank,state,exact_amp,noisy_amp,exact_eloc,noisy_eloc,L,M0,seed\n")
+            write_reps(f, groups[0])
+            f.flush()
+            for part, reps in zip(parts, groups[1:]):
+                code = os.waitstatus_to_exitcode(os.waitpid(children.pop(part), 0)[1])
+                if code != 0:
+                    raise RuntimeError(f"scan replicates {reps[0]}..{reps[-1]} failed in "
+                                       f"their writer process (exit code {code})")
+                # an in-kernel copy: the part's bytes never enter this process
+                with open(part, "rb") as src:
+                    offset = 0
+                    while sent := os.sendfile(f.fileno(), src.fileno(), offset, 1 << 30):
+                        offset += sent
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _write_part(write_reps, part: str, reps) -> None:
+    """The body of a forked writer: write reps into part, then leave the
+    process with os._exit (status 0 on success), so the child never
+    returns into its caller and flushes none of the parent's buffers."""
+    status = 1
+    try:
+        with open(part, "wb") as f:
+            write_reps(f, reps)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+

@@ -272,6 +272,18 @@ def test_cli_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_cli_scan_rejects_threads_below_one_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                             threads):
+    monkeypatch.setattr(cli, "build_trial", lambda *args: pytest.fail("solved first"))
+    code, out, err = _run(capsys, [
+        "scan", "--L", "4", "--M0", "2", "--reps", "2", "--threads", threads,
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert (code, out, err) == (1, "", f"error: threads must be >= 1, got {threads}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_non_object_section():
     with pytest.raises(ConfigError, match="config.model must be a JSON object"):
         from_dict({"model": 5})
@@ -593,6 +605,24 @@ def test_cli_scan_writes_csv_and_manifest(tmp_path, capsys):
     assert len(manifest["config_hash"]) == 64
 
 
+def test_cli_scan_bytes_do_not_depend_on_threads(tmp_path, capsys):
+    def run(threads):
+        out_dir = tmp_path / threads
+        code, _, err = _run(capsys, ["scan", "--L", "5", "--M0", "2", "--reps", "3",
+                                     "--seed", "5", "--threads", threads,
+                                     "--out-dir", str(out_dir)])
+        assert code == 0, err
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        for key in ("created_at", "wall_time_s"):
+            del manifest[key]
+        assert manifest["config"]["output"].pop("directory") == str(out_dir)
+        return (out_dir / "local_energy_scan.csv").read_bytes(), manifest
+
+    assert run("1") == run("2")
+    assert sorted(p.name for p in (tmp_path / "2").iterdir()) == [
+        "local_energy_scan.csv", "run_manifest.json"]
+
+
 def test_cli_gfmc_noiseless_and_dump(tmp_path, capsys):
     out_dir = tmp_path / "gf"
     code, out, _ = _run(capsys, [
@@ -853,6 +883,7 @@ WRITERS = {
 FAILS = {
     "ed": (["ed", "--L", "27"], None),
     "scan": (["scan", "--L", "4", "--reps", "2"], None),
+    "scan-threads": (["scan", "--L", "4", "--M0", "2", "--reps", "2", "--threads", "0"], None),
     "gfmc": (["gfmc", "--L", "4", "--chain-length", "1000", "--warmup", "100",
               "--replicates", "2"], {"noise": {"M": [1, 2]}}),
     "sweep": (["sweep", "--L", "4", "--M", "60,120", "--replicates", "1",
@@ -865,6 +896,8 @@ FAILS = {
     "extrapolate-shots": (["extrapolate", "--a", "1e300", "--b", "1", "--L", "40"], None),
     # finite inputs whose shot count underflows to 0, and inputs out of range
     "extrapolate-underflow": (["extrapolate", "--a", "29.9", "--b", "-100", "--L", "40"], None),
+    "extrapolate-time-underflow": (["extrapolate", "--a", "1e-300", "--b", "0", "--L", "1",
+                                    "--clock-hz", "1e300"], None),
     "extrapolate-huge-layers": (["extrapolate", "--a", "1", "--b", "1", "--L", "4",
                                  "--layers", "1" + "0" * 400], None),
     "extrapolate-zero-layers": (["extrapolate", "--a", "1", "--b", "1", "--L", "4",
@@ -959,6 +992,8 @@ def test_cli_extrapolate_names_the_inputs_that_overflow(capsys, case):
 
 REJECTS = {
     "extrapolate-underflow": "shot count a*2^(b*L) underflows to 0 at a = 29.9, b = -100.0, L = 40",
+    "extrapolate-time-underflow": "wall time shots*circuit_layers/gate_clock_hz underflows to 0 "
+                                  "at shots = 1e-300, circuit_layers = 40, gate_clock_hz = 1e+300",
     "extrapolate-huge-layers": "circuit_layers must be finite, got an integer too large for a float",
     "extrapolate-zero-layers": "circuit_layers must be positive, got 0",
     "extrapolate-negative-clock": "gate_clock_hz must be positive, got -5.0",

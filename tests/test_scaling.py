@@ -552,8 +552,22 @@ def test_extrapolate_runtime_rejects_a_shot_count_that_underflows():
     with pytest.raises(ValueError, match=r"^shot count a\*2\^\(b\*L\) underflows to 0 at "
                                          r"a = 29.9, b = -100.0, L = 40$"):
         extrapolate_runtime(29.9, -100.0, 40, 40, 1e4)
-    # the smallest positive float is a shot count, not an underflow
-    assert extrapolate_runtime(1.0, -537.0, 2, 40, 1e4).shots == 5e-324
+    # the smallest positive float is a shot count, not an underflow; at a
+    # clock this slow its wall time is a positive float too
+    assert extrapolate_runtime(1.0, -537.0, 2, 40, 1e-300).shots == 5e-324
+    # at 1e4 Hz it is not
+    with pytest.raises(ValueError, match=r"^wall time shots\*circuit_layers/gate_clock_hz "
+                                         r"underflows to 0 at shots = 5e-324, "
+                                         r"circuit_layers = 40, gate_clock_hz = 10000.0$"):
+        extrapolate_runtime(1.0, -537.0, 2, 40, 1e4)
+
+
+@pytest.mark.parametrize("shots, layers, clock", [(1e-300, 40, 1e300), (5e-324, 1, 2.0)])
+def test_runtime_for_shots_rejects_a_wall_time_that_underflows(shots, layers, clock):
+    message = (f"wall time shots*circuit_layers/gate_clock_hz underflows to 0 at "
+               f"shots = {shots!r}, circuit_layers = {layers}, gate_clock_hz = {clock!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        runtime_for_shots(shots, layers, clock)
 
 
 def test_runtime_for_shots_names_every_input_that_is_not_positive():

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import dataclass, fields
 
@@ -400,15 +401,89 @@ def test_scan_csv_bytes_match_row_loop_oracle(tmp_path, monkeypatch, row_chunks,
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def _counted_forks(monkeypatch, cores=8):
+    """Pretend the machine has `cores` cores; the list of forks made here."""
+    forks = []
+    fork = shots.os.fork
+    monkeypatch.setattr(shots.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(shots.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("L", [2, 5])
-def test_scan_csv_bytes_match_row_loop_oracle_on_a_scan(tmp_path, L):
+def test_scan_csv_bytes_match_row_loop_oracle_on_a_scan(tmp_path, monkeypatch, L):
     m = TfiModel(L)
     gs = ground_state(m)
     trial = build_table("exact-groundstate", m, vector=gs.vector)
     scan = local_energy_scan(m, trial, M0=1, reps=3, seed=4)
-    write_scan_csv(scan, tmp_path / "fast.csv")
     write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    forks = _counted_forks(monkeypatch)
+    for threads in (1, 2, 3, scan.reps + 1):
+        write_scan_csv(scan, tmp_path / "fast.csv", threads=threads)
+        assert len(forks) == min(threads, scan.reps) - 1
+        forks.clear()
+        _assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "rows.csv"]
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads, cores, writers", [
+    (1, 8, 1), (2, 8, 2), (3, 8, 3), (13, 8, 8), (None, 5, 5), (5, 2, 2),
+])
+def test_scan_csv_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, threads, cores,
+                                                 writers):
+    # 12 replicates with 3-row chunks: rep numbers 9 -> 10 gain a digit, and
+    # groups end inside and between digit widths
+    monkeypatch.setattr(shots, "CSV_CHUNK_ROWS", 3)
+    scan = _synthetic_scan(3, 12)
+    forks = _counted_forks(monkeypatch, cores)
+    write_scan_csv(scan, tmp_path / "fast.csv", threads=threads)
+    assert len(forks) == writers - 1
+    _assert_no_child_left()
+    write_scan_csv_rows(scan, tmp_path / "rows.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "rows.csv"]
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_scan_csv_rejects_threads_below_one(tmp_path, threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        write_scan_csv(_synthetic_scan(2, 2), tmp_path / "fast.csv", threads=threads)
+    assert list(tmp_path.iterdir()) == []
+
+
+@dataclass
+class _FailingScan(_CraftedScan):
+    """A crafted scan whose replicate `failing` raises."""
+
+    failing: int = -1
+
+    def replicate(self, r):
+        if r == self.failing:
+            raise ValueError(f"replicate {r} failed")
+        return super().replicate(r)
+
+
+@pytest.mark.parametrize("failing, error", [
+    (4, "scan replicates 4..5 failed in their writer process (exit code 1)"),
+    (7, "scan replicates 6..8 failed in their writer process (exit code 1)"),
+    (1, "replicate 1 failed"),  # in this process's own group
+])
+def test_scan_csv_failed_group_leaves_no_child_and_no_part_file(tmp_path, monkeypatch,
+                                                                 failing, error):
+    # 9 replicates in 4 groups: 0..1 here, 2..3, 4..5 and 6..8 in children
+    scan = _FailingScan(**vars(_synthetic_scan(3, 9)), failing=failing)
+    _counted_forks(monkeypatch, cores=4)
+    with pytest.raises((RuntimeError, ValueError)) as info:
+        write_scan_csv(scan, tmp_path / "fast.csv", threads=4)
+    assert str(info.value) == error
+    _assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["fast.csv"]
 
 
 def test_scan_csv_writes_negative_zero_local_energy(tmp_path):
