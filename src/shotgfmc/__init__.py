@@ -5,7 +5,20 @@ The package has three layers:
 * spin chain primitives and exact references (``model``, ``trial``, ``exact``),
 * the stochastic machinery (``shots``, ``gfmc``),
 * experiment orchestration and fits (``scaling``), driven by the ``shotgfmc`` CLI.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set; it has no
+effect if numpy was imported first.
 """
+
+import os
+
+# OpenBLAS starts one spinning worker thread per core when numpy loads,
+# which costs CPU in every serial command and makes BLAS sums (the
+# trial-table norms, the Lanczos solve) depend on the core count. Pin it to
+# one thread before any submodule imports numpy; a user's setting wins.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,6 @@ through it, and ``build_trial`` builds the trial table they share.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -207,6 +206,9 @@ def run_sweep(m_grid, L_grid, trial_kind: str, base_cfg: GfmcConfig,
     # than there are tasks and cores
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: loading the pool costs every other command ~18 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate, tasks))
     else:

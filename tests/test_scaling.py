@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 import tracemalloc
@@ -296,7 +297,7 @@ def test_run_sweep_starts_at_most_one_worker_per_task_and_core(monkeypatch, core
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(scaling, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(scaling.os, "cpu_count", lambda: cores)
     # 4 walkers, so at most 4 tasks
     cfg = GfmcConfig(chain_length=400, warmup=10, l_reweight=20)
